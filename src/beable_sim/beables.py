@@ -46,7 +46,7 @@ class BeableOperator:
     """
 
     __slots__ = ("label", "eigenvalues", "projectors", "ordering", "dim",
-                 "n_cells", "matrix", "_cum_below")
+                 "n_cells", "matrix")
 
     def __init__(self, label: str, eigenvalues, projectors, ordering):
         self.label = str(label)
@@ -93,12 +93,6 @@ class BeableOperator:
         for n in range(k):
             recon += eig[n] * projectors[n].entries
         self.matrix = Operator(recon, hermitian=True)
-        # cum_below[n] = sum of projector matrices for cells j < n, n = 0..K
-        cum = np.zeros((k + 1, dim, dim), dtype=complex)
-        for n in range(k):
-            cum[n + 1] = cum[n] + projectors[n].entries
-        cum.setflags(write=False)
-        self._cum_below = cum
 
     def __repr__(self):
         return f"BeableOperator('{self.label}', dim={self.dim}, cells={self.n_cells})"
@@ -164,9 +158,14 @@ def from_hermitian(xi: Operator, degeneracy_tol: float = DEGENERACY_TOL,
 
 
 class BeableSet:
-    """An ordered list of mutually commuting beables on one Hilbert space."""
+    """An ordered list of mutually commuting beables on one Hilbert space.
 
-    __slots__ = ("beables", "dim")
+    ``validate_commuting_set`` adds their joint eigenbasis: the unitary
+    ``basis`` (columns are joint eigenvectors) and ``labels`` of shape
+    (L, dim), the cell of beable ell that holds basis column a.
+    """
+
+    __slots__ = ("beables", "dim", "basis", "labels")
 
     def __init__(self, beables):
         beables = list(beables)
@@ -196,11 +195,45 @@ class BeableSet:
         return LambdaConfig(values, self)
 
 
+def _joint_eigenbasis(beables) -> tuple:
+    """(basis, labels) by successive refinement: beable m's cell-index
+    operator sum_n n P(n) is diagonalised inside each joint eigenspace of
+    beables 0..m-1. Its eigenvalues are the cell integers, a unit apart, so
+    close eigenvalues of a beable or coinciding sums of eigenvalues of
+    several beables cannot mix cells."""
+    dim = beables[0].dim
+    basis = np.eye(dim, dtype=complex)
+    labels = np.zeros((len(beables), dim), dtype=np.intp)
+    blocks = [np.arange(dim)]
+    for ell, b in enumerate(beables):
+        cell_op = sum(n * p.entries for n, p in enumerate(b.projectors))
+        for idx in blocks:
+            cols = basis[:, idx]
+            w, v = np.linalg.eigh(cols.conj().T @ cell_op @ cols)
+            basis[:, idx] = cols @ v
+            labels[ell, idx] = np.clip(np.rint(w), 0, b.n_cells - 1)
+        blocks = [idx[labels[ell, idx] == n] for idx in blocks for n in np.unique(labels[ell, idx])]
+    for ell, b in enumerate(beables):
+        for n, p in enumerate(b.projectors):
+            cols = basis[:, labels[ell] == n]
+            resid = max_norm(p.entries @ cols - cols)
+            if resid > ORTHOGONALITY_TOL:
+                raise NumericError(
+                    f"beable '{b.label}': joint eigenbasis vectors labelled cell {n} "
+                    f"leave that cell (residual {resid:.3e})"
+                )
+    basis.setflags(write=False)
+    labels.setflags(write=False)
+    return basis, labels
+
+
 def validate_commuting_set(beables) -> BeableSet:
-    """Check pairwise commutation of the reconstructed beable operators.
+    """Check pairwise commutation of the reconstructed beable operators and
+    build the set's joint eigenbasis.
 
     Tolerance is 1e-10 * ||xi_a|| * ||xi_b|| (max norms); violations name
-    the offending pair and the measured commutator norm.
+    the offending pair and the measured commutator norm. Raises NumericError
+    if a joint eigenvector does not lie in exactly one cell of every beable.
     """
     s = BeableSet(beables)
     for a in range(len(s)):
@@ -213,6 +246,7 @@ def validate_commuting_set(beables) -> BeableSet:
                     f"beables '{s[a].label}' (index {a}) and '{s[b].label}' (index {b}) "
                     f"do not commute: ||[a,b]||_max = {resid:.3e} > {bound:.3e}"
                 )
+    s.basis, s.labels = _joint_eigenbasis(s.beables)
     return s
 
 
@@ -270,7 +304,7 @@ def lower_projector(b: BeableOperator, lam: float) -> Operator:
     The complement G(lambda) = identity - L(lambda) is never stored.
     """
     n = cell_index(b, lam)
-    mat = (lam - n + 0.5) * b.projectors[n].entries + b._cum_below[n]
+    mat = sum((p.entries for p in b.projectors[:n]), (lam - n + 0.5) * b.projectors[n].entries)
     return Operator(mat, hermitian=True)
 
 

@@ -131,47 +131,35 @@ def _check_reversibility(model: BuiltModel, strict: bool, n_traj: int = 5) -> Ch
                    f"{n_traj} forward/backward round trips to t={t_final:g}")
 
 
-def _check_levelset(model: BuiltModel, strict: bool, n_traj: int = 5) -> CheckResult:
+def _check_single_beable(model: BuiltModel, strict: bool, n_traj: int = 5) -> list:
+    """Level-set agreement and level conservation, both measured on one pass
+    over the same seeded trajectories."""
     cfg = model.config
     b = model.beable_set[0]
     times = np.linspace(0.0, cfg.run.t_final, 41)
-    worst = 0.0
+    worst_set = worst_level = 0.0
     for i in range(n_traj):
         lam0 = sample_initial(model.state0, model.beable_set, (cfg.run.seed, 301, i))
         res = _integrate_on_grid(model.field, model.state0, lam0, times,
                                  cfg.dynamics.rtol, cfg.dynamics.atol)
         if res.status is not TrajectoryStatus.COMPLETED:
-            return CheckResult("levelset_agreement", FAIL, float("nan"),
-                               THRESHOLDS["levelset_agreement"][1 if strict else 0],
-                               f"trajectory {i} aborted at a node")
+            return [CheckResult(name, FAIL, float("nan"), THRESHOLDS[name][1 if strict else 0],
+                                f"trajectory {i} aborted at a node")
+                    for name in ("levelset_agreement", "level_conservation")]
+        level0 = level_expectation(model.state0, b, float(lam0.values[0]))
         for k, t in enumerate(times):
             oracle = single_beable_levelset(model.state0, b, float(lam0.values[0]),
                                             float(t), model.propagator)
-            worst = max(worst, abs(res.lambdas[k, 0] - oracle))
-    return _result("levelset_agreement", worst, strict,
-                   f"{n_traj} trajectories vs the level-set solution at 41 times")
-
-
-def _check_conservation(model: BuiltModel, strict: bool, n_traj: int = 5) -> CheckResult:
-    cfg = model.config
-    b = model.beable_set[0]
-    times = np.linspace(0.0, cfg.run.t_final, 41)
-    worst = 0.0
-    for i in range(n_traj):
-        lam0 = sample_initial(model.state0, model.beable_set, (cfg.run.seed, 301, i))
-        res = _integrate_on_grid(model.field, model.state0, lam0, times,
-                                 cfg.dynamics.rtol, cfg.dynamics.atol)
-        if res.status is not TrajectoryStatus.COMPLETED:
-            return CheckResult("level_conservation", FAIL, float("nan"),
-                               THRESHOLDS["level_conservation"][1 if strict else 0],
-                               f"trajectory {i} aborted at a node")
-        level0 = level_expectation(model.state0, b, float(lam0.values[0]))
-        for k, t in enumerate(times):
+            worst_set = max(worst_set, abs(res.lambdas[k, 0] - oracle))
             state = evolve(model.state0, model.propagator, float(t))
             level = level_expectation(state, b, float(res.lambdas[k, 0]))
-            worst = max(worst, abs(level - level0))
-    return _result("level_conservation", worst, strict,
-                   "drift of the conserved level value along trajectories")
+            worst_level = max(worst_level, abs(level - level0))
+    return [
+        _result("levelset_agreement", worst_set, strict,
+                f"{n_traj} trajectories vs the level-set solution at 41 times"),
+        _result("level_conservation", worst_level, strict,
+                "drift of the conserved level value along trajectories"),
+    ]
 
 
 def _check_average_consistency(model: BuiltModel, strict: bool,
@@ -205,8 +193,7 @@ def run_checks(model: BuiltModel, strict: bool = False) -> list:
         _check_reversibility(model, strict),
     ]
     if len(model.beable_set) == 1:
-        results.append(_check_levelset(model, strict))
-        results.append(_check_conservation(model, strict))
+        results.extend(_check_single_beable(model, strict))
         if model.beable_set[0].n_cells == 2:
             results.append(_check_average_consistency(model, strict))
         else:

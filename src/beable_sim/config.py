@@ -263,8 +263,9 @@ def config_hash(config: ModelConfig) -> str:
 # ---------------------------------------------------------------------------
 # validation and building
 
-def validate_model(config: ModelConfig) -> list:
-    """All violations at once, as human-readable messages."""
+def _check_model(config: ModelConfig) -> tuple:
+    """(every violation as a human-readable message, the validated beable
+    set or None); each beable and the joint eigenbasis are built once."""
     problems = []
     dim = config.dimension
     h = config.hamiltonian
@@ -309,9 +310,10 @@ def validate_model(config: ModelConfig) -> list:
         except InputError as exc:
             problems.append(f"{name}: {exc}")
 
+    beable_set = None
     if len(built) == len(config.beables) and built:
         try:
-            validate_commuting_set(built)
+            beable_set = validate_commuting_set(built)
         except InputError as exc:
             problems.append(str(exc))
 
@@ -329,7 +331,12 @@ def validate_model(config: ModelConfig) -> list:
         problems.append("run.output_dt must be positive")
     if config.run.n_trajectories < 1:
         problems.append("run.n_trajectories must be at least 1")
-    return problems
+    return problems, beable_set
+
+
+def validate_model(config: ModelConfig) -> list:
+    """All violations at once, as human-readable messages."""
+    return _check_model(config)[0]
 
 
 @dataclass
@@ -345,21 +352,11 @@ class BuiltModel:
 def build_model(config: ModelConfig) -> BuiltModel:
     """Validate and assemble the runnable objects; every violation is
     reported together in one ConfigError."""
-    problems = validate_model(config)
+    problems, beable_set = _check_model(config)
     if problems:
         raise ConfigError(problems)
     h_op = Operator(config.hamiltonian, hermitian=True)
     prop = diagonalize(h_op)
-    beables = []
-    for spec in config.beables:
-        kwargs = {}
-        if spec.degeneracy_tol is not None:
-            kwargs["degeneracy_tol"] = spec.degeneracy_tol
-        if spec.ordering is not None:
-            kwargs["ordering"] = spec.ordering
-        beables.append(from_hermitian(Operator(spec.matrix, hermitian=True),
-                                      label=spec.label, **kwargs))
-    beable_set = validate_commuting_set(beables)
     state0 = QuantumState(config.initial_state, time=0.0)
     vfield = VelocityField(
         beable_set, prop,

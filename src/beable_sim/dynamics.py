@@ -10,9 +10,10 @@ assignments, an embedded Dormand-Prince 4(5) pair, and boundary-crossing
 events located to 1e-12 in lambda before the cells are updated and the
 integration restarts.
 
-Everything is evaluated in the Hamiltonian eigenbasis: states advance by
-pure phases and the per-cell operator blocks are rotated once when a
-VelocityField is built.
+P, the cell distribution and J are built in the beables' joint eigenbasis,
+where cell projectors are 0/1 masks, and evaluated in the Hamiltonian
+eigenbasis, where states advance by pure phases. quantum_probability and
+symmetrized_current are the independent dense-operator references.
 """
 
 from __future__ import annotations
@@ -62,7 +63,37 @@ def _subset_weights(n_beables: int) -> list:
     ]
 
 
+def _ordering_weights(inside: np.ndarray, symmetrization: Symmetrization) -> list:
+    """Weight W_ell[a, b] of joint-basis pair (a, b) in the current J_ell
+    sandwiched by the other beables' cell projectors; ``inside[m, a]`` says
+    whether basis vector a lies in beable m's cell.
+
+    Ordered: the projectors m < ell act on a, those m > ell on b. Symmetric
+    average: W = 0 if another cell holds neither a nor b; cells holding both
+    act as identity, and the r cells holding only a must all sit left of the
+    current and the s holding only b right of it, which a uniform ordering
+    does with probability r! s! / (r + s + 1)!. (Summing the subset weights
+    over the free placements of the cells holding both gives the same.)
+    """
+    n_b = inside.shape[0]
+    if symmetrization is Symmetrization.ORDERED_REAL_PART:
+        return [np.outer(inside[:ell].all(axis=0), inside[ell + 1:].all(axis=0)).astype(float)
+                for ell in range(n_b)]
+    table = np.array([[_subset_weights(r + s + 1)[r] for s in range(n_b)] for r in range(n_b)])
+    ins = inside.astype(np.intp)
+    only_a = ins[:, :, None] * (1 - ins)[:, None, :]
+    neither = (1 - ins)[:, :, None] * (1 - ins)[:, None, :]
+    r_all, n_all = only_a.sum(axis=0), neither.sum(axis=0)
+    out = []
+    for ell in range(n_b):
+        r = r_all - only_a[ell]
+        out.append(np.where(n_all == neither[ell], table[r, r.T], 0.0))
+    return out
+
+
 def _resolve_cells(beable_set: BeableSet, cells) -> tuple:
+    if len(cells) != len(beable_set):
+        raise InputError("one cell index per beable is required")
     out = []
     for ell, b in enumerate(beable_set):
         n = int(cells[ell])
@@ -72,8 +103,6 @@ def _resolve_cells(beable_set: BeableSet, cells) -> tuple:
                 f"for beable '{b.label}'"
             )
         out.append(n)
-    if len(cells) != len(beable_set):
-        raise InputError("one cell index per beable is required")
     return tuple(out)
 
 
@@ -120,9 +149,14 @@ def all_cell_tuples(beable_set: BeableSet) -> list:
 
 
 def quantum_distribution(state: QuantumState, beable_set: BeableSet):
-    """Exact distribution over all cell tuples; checks it sums to 1."""
+    """Exact distribution over all cell tuples, summing |<a|t>|^2 over the
+    joint basis vectors a of each tuple; checks it sums to 1."""
+    if state.dim != beable_set.dim:
+        raise InputError(f"dimension mismatch: state {state.dim}, set {beable_set.dim}")
     tuples = all_cell_tuples(beable_set)
-    probs = np.array([quantum_probability(state, beable_set, c) for c in tuples])
+    weights = np.abs(beable_set.basis.conj().T @ state.amplitudes) ** 2
+    flat = np.ravel_multi_index(beable_set.labels, beable_set.cell_counts)
+    probs = np.bincount(flat, weights=weights, minlength=len(tuples))
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-8:
         raise NumericError(f"cell-tuple probabilities sum to {total:.12g}, not 1")
@@ -188,10 +222,11 @@ def symmetrized_current(state: QuantumState, beable_set: BeableSet, ell: int,
 class VelocityField:
     """The deterministic guidance field v = J / P for one model.
 
-    Immutable and shareable between trajectory workers. All per-cell
-    operator blocks are pre-rotated into the Hamiltonian eigenbasis:
-    with dE_jk = E_k - E_j, the current blocks are elementwise products
-    ``i * P_jk * dE_jk`` because H is diagonal there.
+    Immutable and shareable between trajectory workers. The operators of
+    each visited cell tuple are built in the beables' joint eigenbasis,
+    where every projector is a 0/1 mask and the ordering-averaged current
+    is a weighted Hadamard product with H, then rotated once into the
+    Hamiltonian eigenbasis, where states advance by pure phases.
     """
 
     def __init__(self, beable_set: BeableSet, propagator: Propagator,
@@ -211,26 +246,12 @@ class VelocityField:
 
         v = propagator.basis
         e = propagator.energies
-        phase_gap = e[None, :] - e[:, None]
         self._energies = e
         self._basis = v
         self.n_beables = len(beable_set)
-        # rotated cell projectors, current slopes A = i[P, H] and offsets
-        # B = i[sum_below, H], indexed [beable][cell]
-        self._proj = []
-        self._amat = []
-        self._bmat = []
-        for b in beable_set:
-            pr, am, bm = [], [], []
-            for n in range(b.n_cells):
-                p_rot = v.conj().T @ b.projectors[n].entries @ v
-                cum_rot = v.conj().T @ b._cum_below[n] @ v
-                pr.append(p_rot)
-                am.append(1j * p_rot * phase_gap)
-                bm.append(1j * cum_rot * phase_gap)
-            self._proj.append(pr)
-            self._amat.append(am)
-            self._bmat.append(bm)
+        # joint beable basis -> Hamiltonian eigenbasis, and H in the joint basis
+        self._rotation = v.conj().T @ beable_set.basis
+        self._h_joint = (self._rotation.conj().T * e) @ self._rotation
         self._imag_tol = CURRENT_IMAG_TOL * max(1.0, float(np.max(np.abs(e))) if e.size else 1.0)
         self._tuple_cache = {}
 
@@ -242,64 +263,34 @@ class VelocityField:
             )
         return self._basis.conj().T @ state.amplitudes
 
-    def _chain(self, mats):
-        if not mats:
-            return None
-        out = mats[0]
-        for m in mats[1:]:
-            out = out @ m
-        return out
-
     def _tuple_ops(self, cells: tuple):
         """Projector product and per-component affine current blocks for one
-        joint cell assignment; built on first use and cached."""
+        joint cell assignment; built on first use and cached.
+
+        L_ell is diagonal in the joint basis, so J_ell = u X_ell + Y_ell with
+        u = lambda_ell - n + 1/2, X_ell[a, b] = i (d_a - d_b) H[a, b] for the
+        mask d of cell n and Y_ell the same for the mask of the cells below.
+        """
         ops = self._tuple_cache.get(cells)
         if ops is not None:
             return ops
-        n_b = self.n_beables
-        dim = self.propagator.dim
-        proj = [self._proj[m][cells[m]] for m in range(n_b)]
-        pi = self._chain(proj)
+        rot = self._rotation
+        column = np.asarray(cells)[:, None]
+        inside = self.beable_set.labels == column
+        below = (self.beable_set.labels < column).astype(float)
+        occupied = rot[:, inside.all(axis=0)]
+        pi = occupied @ occupied.conj().T
+        weights = _ordering_weights(inside, self.symmetrization)
+        d_in = inside.astype(float)
         affine = []
-        for ell in range(n_b):
-            a_blk = self._amat[ell][cells[ell]]
-            b_blk = self._bmat[ell][cells[ell]]
-            others = [m for m in range(n_b) if m != ell]
-            if self.symmetrization is Symmetrization.ORDERED_REAL_PART:
-                left = self._chain([proj[m] for m in others if m < ell])
-                right = self._chain([proj[m] for m in others if m > ell])
-                x_mat = self._sandwich(left, a_blk, right)
-                y_mat = self._sandwich(left, b_blk, right)
-            else:
-                weights = _subset_weights(n_b)
-                x_mat = np.zeros((dim, dim), dtype=complex)
-                y_mat = np.zeros((dim, dim), dtype=complex)
-                for mask in range(1 << len(others)):
-                    size = 0
-                    lmats, rmats = [], []
-                    for i, m in enumerate(others):
-                        if mask >> i & 1:
-                            lmats.append(proj[m])
-                            size += 1
-                        else:
-                            rmats.append(proj[m])
-                    left = self._chain(lmats)
-                    right = self._chain(rmats)
-                    x_mat += weights[size] * self._sandwich(left, a_blk, right)
-                    y_mat += weights[size] * self._sandwich(left, b_blk, right)
-            affine.append((x_mat, y_mat))
+        for ell, w in enumerate(weights):
+            weighted = 1j * w * self._h_joint
+            x_mat = weighted * (d_in[ell][:, None] - d_in[ell][None, :])
+            y_mat = weighted * (below[ell][:, None] - below[ell][None, :])
+            affine.append((rot @ x_mat @ rot.conj().T, rot @ y_mat @ rot.conj().T))
         ops = (pi, affine)
         self._tuple_cache[cells] = ops
         return ops
-
-    @staticmethod
-    def _sandwich(left, mid, right):
-        out = mid
-        if left is not None:
-            out = left @ out
-        if right is not None:
-            out = out @ right
-        return out
 
     def probability(self, coeff: np.ndarray, cells: tuple) -> float:
         pi, _ = self._tuple_ops(cells)

@@ -34,8 +34,6 @@ from .dynamics import (
     _integrate_on_grid,
     all_cell_tuples,
     quantum_distribution,
-    quantum_probability,
-    symmetrized_current,
     _lambda_values,
 )
 from .errors import InputError
@@ -77,9 +75,8 @@ def level_expectation(state: QuantumState, b: BeableOperator, lam: float) -> flo
     """<t|L(lambda)|t>, the conserved level value of one-beable dynamics."""
     n = cell_index(b, lam)
     psi = state.amplitudes
-    cum = float(np.vdot(psi, b._cum_below[n] @ psi).real)
-    p_n = float(np.vdot(psi, b.projectors[n].entries @ psi).real)
-    return cum + (lam - n + 0.5) * p_n
+    weights = [float(np.vdot(psi, p.entries @ psi).real) for p in b.projectors[:n + 1]]
+    return sum(weights[:n]) + (lam - n + 0.5) * weights[n]
 
 
 def single_beable_levelset(state0: QuantumState, b: BeableOperator,
@@ -165,7 +162,8 @@ def average_consistency(oracle: TwoStateOracle, t: float, n_xi0: int) -> float:
 
 def continuity_residual(field: VelocityField, state: QuantumState, lambdas,
                         h: float = 1e-5) -> float | None:
-    """|dP/dt + sum_ell dJ_ell/dlambda_ell| by central differences.
+    """|dP/dt + sum_ell dJ_ell/dlambda_ell| by central differences of the
+    field's own probability and currents.
 
     dP/dt uses states evolved to t +/- h; each current derivative offsets one
     lambda component by +/- h with the state fixed. Points within h of a cell
@@ -173,29 +171,20 @@ def continuity_residual(field: VelocityField, state: QuantumState, lambdas,
     the differences meaningless.
     """
     lam = _lambda_values(field.beable_set, lambdas)
-    beable_set = field.beable_set
     cells = []
-    for ell, b in enumerate(beable_set):
+    for ell, b in enumerate(field.beable_set):
         n = cell_index(b, lam[ell])
         if min(lam[ell] - (n - 0.5), (n + 0.5) - lam[ell]) <= h:
             return None
         cells.append(n)
-    prop = field.propagator
-    s_plus = evolve(state, prop, h)
-    s_minus = evolve(state, prop, -h)
-    dp_dt = (quantum_probability(s_plus, beable_set, cells)
-             - quantum_probability(s_minus, beable_set, cells)) / (2.0 * h)
-    div = 0.0
-    for ell in range(len(beable_set)):
-        lam_p = lam.copy()
-        lam_m = lam.copy()
-        lam_p[ell] += h
-        lam_m[ell] -= h
-        j_p = symmetrized_current(state, beable_set, ell, lam_p, prop,
-                                  field.symmetrization)
-        j_m = symmetrized_current(state, beable_set, ell, lam_m, prop,
-                                  field.symmetrization)
-        div += (j_p - j_m) / (2.0 * h)
+    cells = tuple(cells)
+    coeff = field.state_coefficients(state)
+    phase = np.exp(-1j * h * field.propagator.energies)
+    dp_dt = (field.probability(coeff * phase, cells)
+             - field.probability(coeff * phase.conj(), cells)) / (2.0 * h)
+    shifts = h * np.eye(len(cells))
+    div = sum(field.currents(coeff, lam + d, cells)[ell] - field.currents(coeff, lam - d, cells)[ell]
+              for ell, d in enumerate(shifts)) / (2.0 * h)
     return abs(dp_dt + div)
 
 

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import beable_sim as bs
 from beable_sim.dynamics import Symmetrization, _subset_weights
@@ -56,6 +59,10 @@ class TestQuantumProbability:
         with pytest.raises(InputError):
             bs.quantum_probability(rabi.state0, rabi.beable_set, [2])
 
+    def test_short_cell_tuple(self):
+        with pytest.raises(InputError, match="one cell index per beable"):
+            bs.quantum_probability(bs.QuantumState([1, 0, 0, 0]), two_qubit_set(), (0,))
+
 
 class TestSymmetrizedCurrent:
     def test_l3_weights(self):
@@ -63,6 +70,17 @@ class TestSymmetrizedCurrent:
         assert w == pytest.approx([2 / 6, 1 / 6, 2 / 6])
         # four subset terms of the L=3 expansion sum to 1
         assert w[0] + w[1] + w[1] + w[2] == pytest.approx(1.0)
+
+    def test_closed_form_ordering_weight(self):
+        # summing the subset weights over the free placements of the q other
+        # projectors whose cell holds both basis vectors gives r! s! / (r+s+1)!
+        for n_b in range(1, 9):
+            w = _subset_weights(n_b)
+            for r in range(n_b):
+                for q in range(n_b - r):
+                    s = n_b - 1 - r - q
+                    total = sum(math.comb(q, j) * w[r + j] for j in range(q + 1))
+                    assert total == pytest.approx(_subset_weights(r + s + 1)[r], rel=1e-12)
 
     def test_single_beable_rabi(self, rabi):
         # J(0.5) = (omega/2) <sigma_y>, with <sigma_y>(t) = -sin(omega t)
@@ -314,3 +332,82 @@ class TestContinuityEquation:
                 assert resid <= 1e-6 * max(1.0, abs(dpdt))
             total += checked
         assert total >= 100
+
+
+# values whose sums coincide across beables: 0.37 + 3.76 == 1.5 + 2.63, the
+# accidental degeneracy that breaks a basis taken from one linear combination
+ACCIDENTAL_VALUES = ((0.37, 1.5), (3.76, 2.63))
+
+model_specs = st.tuples(
+    st.integers(0, 2**32 - 1),                          # numpy seed
+    st.integers(2, 12),                                 # dimension
+    st.lists(st.integers(1, 4), min_size=1, max_size=4),  # cells per beable
+    st.booleans(),                                      # accidental-sum values
+)
+
+
+def commuting_model(spec):
+    """A random commuting set with random degeneracies, cell orderings and a
+    random common eigenbasis, plus a random Hamiltonian and state."""
+    seed, dim, counts, accidental = spec
+    rng = np.random.default_rng(seed)
+    shared = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    beables = []
+    for ell, k in enumerate(counts):
+        k = min(k, dim)
+        if accidental and ell < 2 and len(counts) >= 2:
+            k, values = 2, np.array(ACCIDENTAL_VALUES[ell])
+        else:
+            values = np.cumsum(rng.uniform(0.2, 1.5, size=k))
+        cell_of = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, dim - k)]))
+        mat = (shared * values[cell_of]) @ shared.conj().T
+        beables.append(bs.from_hermitian(
+            bs.Operator((mat + mat.conj().T) / 2, hermitian=True),
+            ordering=tuple(rng.permutation(k)), label=f"b{ell}"))
+    bset = bs.validate_commuting_set(beables)
+    prop = bs.diagonalize(random_hermitian(rng, dim))
+    return rng, bset, prop, random_state(rng, dim)
+
+
+class TestJointBasisProperties:
+    """The joint-eigenbasis production path against the projector-chain and
+    brute-force ordering-sum references."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(model_specs)
+    @example((7, 4, [2, 2], True))
+    def test_distribution_matches_projector_chain(self, spec):
+        _, bset, _, state = commuting_model(spec)
+        tuples, probs = bs.quantum_distribution(state, bset)
+        ref = [bs.quantum_probability(state, bset, c) for c in tuples]
+        np.testing.assert_allclose(probs, ref, rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(model_specs, st.sampled_from(list(Symmetrization)))
+    @example((7, 4, [2, 2], True), Symmetrization.SYMMETRIC_AVERAGE)
+    def test_currents_match_ordering_sum(self, spec, symmetrization):
+        rng, bset, prop, state = commuting_model(spec)
+        field = bs.VelocityField(bset, prop, symmetrization)
+        coeff = field.state_coefficients(state)
+        tuples = bs.all_cell_tuples(bset)
+        for _ in range(3):
+            cells = tuples[rng.integers(len(tuples))]
+            lam = np.array(cells) + rng.uniform(-0.5, 0.5, size=len(bset))
+            got = field.currents(coeff, lam, cells)
+            ref = [bs.symmetrized_current(state, bset, ell, lam, prop, symmetrization)
+                   for ell in range(len(bset))]
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-10)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(model_specs, st.sampled_from(list(Symmetrization)))
+    def test_current_vanishes_at_domain_ends(self, spec, symmetrization):
+        rng, bset, prop, state = commuting_model(spec)
+        field = bs.VelocityField(bset, prop, symmetrization)
+        coeff = field.state_coefficients(state)
+        cells = bs.all_cell_tuples(bset)[0]
+        for ell, b in enumerate(bset):
+            for n, edge in ((0, -0.5), (b.n_cells - 1, b.n_cells - 0.5)):
+                tup = cells[:ell] + (n,) + cells[ell + 1:]
+                lam = np.array(tup, dtype=float)
+                lam[ell] = edge
+                assert abs(field.currents(coeff, lam, tup)[ell]) <= 1e-12
