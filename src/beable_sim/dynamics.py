@@ -226,7 +226,10 @@ class VelocityField:
     each visited cell tuple are built in the beables' joint eigenbasis,
     where every projector is a 0/1 mask and the ordering-averaged current
     is a weighted Hadamard product with H, then rotated once into the
-    Hamiltonian eigenbasis, where states advance by pure phases.
+    Hamiltonian eigenbasis, where states advance by pure phases. They are
+    cached as one (2L + 1, dim, dim) stack [Pi, X_0..X_{L-1}, Y_0..Y_{L-1}],
+    so every velocity call is one stacked product giving all 2L + 1
+    quadratic forms: P = <Pi> and J_ell = u_ell <X_ell> + <Y_ell>.
     """
 
     def __init__(self, beable_set: BeableSet, propagator: Propagator,
@@ -264,61 +267,75 @@ class VelocityField:
         return self._basis.conj().T @ state.amplitudes
 
     def _tuple_ops(self, cells: tuple):
-        """Projector product and per-component affine current blocks for one
-        joint cell assignment; built on first use and cached.
+        """Operator stack and lambda shift for one joint cell assignment;
+        built on first use and cached.
 
         L_ell is diagonal in the joint basis, so J_ell = u X_ell + Y_ell with
-        u = lambda_ell - n + 1/2, X_ell[a, b] = i (d_a - d_b) H[a, b] for the
-        mask d of cell n and Y_ell the same for the mask of the cells below.
+        u = lambda_ell + shift_ell, shift = 1/2 - cells, X_ell[a, b] =
+        i (d_a - d_b) H[a, b] for the mask d of cell n and Y_ell the same for
+        the mask of the cells below. Returns (ops, shift) with ops the
+        contiguous stack [Pi, X_0..X_{L-1}, Y_0..Y_{L-1}].
         """
         ops = self._tuple_cache.get(cells)
         if ops is not None:
             return ops
         rot = self._rotation
+        n_b = self.n_beables
         column = np.asarray(cells)[:, None]
         inside = self.beable_set.labels == column
         below = (self.beable_set.labels < column).astype(float)
         occupied = rot[:, inside.all(axis=0)]
-        pi = occupied @ occupied.conj().T
+        stack = np.empty((2 * n_b + 1,) + rot.shape, dtype=complex)
+        stack[0] = occupied @ occupied.conj().T
         weights = _ordering_weights(inside, self.symmetrization)
         d_in = inside.astype(float)
-        affine = []
         for ell, w in enumerate(weights):
             weighted = 1j * w * self._h_joint
             x_mat = weighted * (d_in[ell][:, None] - d_in[ell][None, :])
             y_mat = weighted * (below[ell][:, None] - below[ell][None, :])
-            affine.append((rot @ x_mat @ rot.conj().T, rot @ y_mat @ rot.conj().T))
-        ops = (pi, affine)
+            stack[1 + ell] = rot @ x_mat @ rot.conj().T
+            stack[1 + n_b + ell] = rot @ y_mat @ rot.conj().T
+        ops = (stack, 0.5 - np.asarray(cells, dtype=float))
         self._tuple_cache[cells] = ops
         return ops
 
-    def probability(self, coeff: np.ndarray, cells: tuple) -> float:
-        pi, _ = self._tuple_ops(cells)
-        p = np.vdot(coeff, pi @ coeff)
+    def _forms(self, coeff: np.ndarray, cells: tuple):
+        """All 2L + 1 quadratic forms <coeff| ops |coeff> of the tuple, and its
+        lambda shift."""
+        ops, shift = self._tuple_ops(cells)
+        return (ops @ coeff) @ coeff.conj(), shift
+
+    @staticmethod
+    def _probability_of(vals: np.ndarray) -> float:
+        p = vals[0]
         if abs(p.imag) > 1e-10:
             raise NumericError(f"probability has imaginary part {p.imag:.3e}")
         return p.real
 
+    def _currents_of(self, vals: np.ndarray, lam, shift: np.ndarray) -> np.ndarray:
+        n_b = self.n_beables
+        j = (lam + shift) * vals[1:n_b + 1] + vals[n_b + 1:]
+        if self.symmetrization is Symmetrization.SYMMETRIC_AVERAGE:
+            for ell, imag in enumerate(j.imag.tolist()):
+                if abs(imag) > self._imag_tol:
+                    raise NumericError(
+                        f"current component {ell} has imaginary part {imag:.3e}"
+                    )
+        return j.real
+
+    def probability(self, coeff: np.ndarray, cells: tuple) -> float:
+        return self._probability_of(self._forms(coeff, cells)[0])
+
     def currents(self, coeff: np.ndarray, lam, cells: tuple) -> np.ndarray:
-        _, affine = self._tuple_ops(cells)
-        sym = self.symmetrization is Symmetrization.SYMMETRIC_AVERAGE
-        out = np.empty(self.n_beables)
-        for ell in range(self.n_beables):
-            x_mat, y_mat = affine[ell]
-            offset = lam[ell] - cells[ell] + 0.5
-            val = offset * np.vdot(coeff, x_mat @ coeff) + np.vdot(coeff, y_mat @ coeff)
-            if sym and abs(val.imag) > self._imag_tol:
-                raise NumericError(
-                    f"current component {ell} has imaginary part {val.imag:.3e}"
-                )
-            out[ell] = val.real
-        return out
+        vals, shift = self._forms(coeff, cells)
+        return self._currents_of(vals, lam, shift)
 
     def velocities(self, coeff: np.ndarray, lam, cells: tuple, time: float) -> np.ndarray:
-        p = self.probability(coeff, cells)
+        vals, shift = self._forms(coeff, cells)
+        p = self._probability_of(vals)
         if p <= self.node_floor:
             raise NodeError(cells, p, time)
-        return self.currents(coeff, lam, cells) / p
+        return self._currents_of(vals, lam, shift) / p
 
 
 def velocity(field: VelocityField, state: QuantumState, lambdas) -> np.ndarray:
@@ -334,7 +351,7 @@ def velocity(field: VelocityField, state: QuantumState, lambdas) -> np.ndarray:
 
 
 # Dormand-Prince 5(4) tableau; the last stage row doubles as the 5th-order
-# weights and the error row is b5 - b4.
+# weights, the 7th stage sits at t + h, and the error row is b5 - b4.
 _DP_A = (
     (),
     (1 / 5,),
@@ -344,31 +361,25 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_DP_ROWS = tuple(np.array(row) for row in _DP_A)
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 
 def _dp54_step(rhs, t, y, h, k1):
     """One Dormand-Prince step from (t, y). Returns (y_new, error, f(t+h, y_new)).
 
-    The 7th stage input is the 5th-order solution itself, so its derivative
-    comes out for free and feeds both the error estimate and the next step.
+    The stages live in one (7, L) array, so each stage input and the error
+    estimate are one product with a tableau row. The 7th stage input is the
+    5th-order solution itself, so its derivative comes out for free and
+    feeds both the error estimate and the next step.
     """
-    k = [k1]
-    yi = y
+    k = np.empty((7, y.size))
+    k[0] = k1
     for i in range(1, 7):
-        yi = y.copy()
-        for j, a in enumerate(_DP_A[i]):
-            if a != 0.0:
-                yi += (h * a) * k[j]
-        ti = t + h if i == 6 else t + _DP_C[i] * h
-        k.append(rhs(ti, yi))
-    y_new = yi
-    err = np.zeros_like(y)
-    for j, e in enumerate(_DP_ERR):
-        if e != 0.0:
-            err += (h * e) * k[j]
-    return y_new, err, k[6]
+        yi = y + h * (_DP_ROWS[i] @ k[:i])
+        k[i] = rhs(t + _DP_C[i] * h, yi)
+    return yi, h * (_DP_ERR @ k), k[6]
 
 
 @dataclass
@@ -501,7 +512,8 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
 
             y_new, err, k_last = _dp54_step(rhs, t, y, h_try, f_now)
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
+            ratio = err / scale
+            enorm = math.sqrt(ratio @ ratio / n_b)
             if enorm > 1.0:
                 factor = max(0.2, 0.9 * enorm ** -0.2)
                 h = h_try * factor

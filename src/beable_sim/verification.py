@@ -32,7 +32,6 @@ from .dynamics import (
     TrajectoryStatus,
     VelocityField,
     _integrate_on_grid,
-    all_cell_tuples,
     quantum_distribution,
     _lambda_values,
 )
@@ -45,16 +44,25 @@ ENV_THREADS = "BEABLE_SIM_THREADS"
 # ---------------------------------------------------------------------------
 # initial-condition sampling
 
-def _sample_lambda(state: QuantumState, beable_set: BeableSet,
-                   rng: np.random.Generator) -> LambdaConfig:
+def _initial_cdf(state: QuantumState, beable_set: BeableSet):
+    """Cell tuples and the clipped cumulative distribution they are drawn from."""
     tuples, probs = quantum_distribution(state, beable_set)
     probs = np.clip(probs, 0.0, None)
-    cum = np.cumsum(probs / probs.sum())
+    return tuples, np.cumsum(probs / probs.sum())
+
+
+def _draw_lambda(tuples: list, cum: np.ndarray, beable_set: BeableSet,
+                 rng: np.random.Generator) -> LambdaConfig:
     idx = int(np.searchsorted(cum, rng.random(), side="right"))
     idx = min(idx, len(tuples) - 1)
     cells = np.array(tuples[idx], dtype=float)
     offsets = rng.uniform(-0.5, 0.5, size=len(beable_set))
     return LambdaConfig(cells + offsets, beable_set)
+
+
+def _sample_lambda(state: QuantumState, beable_set: BeableSet,
+                   rng: np.random.Generator) -> LambdaConfig:
+    return _draw_lambda(*_initial_cdf(state, beable_set), beable_set, rng)
 
 
 def sample_initial(state: QuantumState, beable_set: BeableSet,
@@ -232,15 +240,19 @@ def _resolve_workers(workers: int | None) -> int:
 
 
 def _run_chunk(field: VelocityField, state0: QuantumState, times: np.ndarray,
-               seed: int, indices: range, rtol: float, atol: float,
-               tuple_index: dict):
-    """Integrate one block of trajectories; returns (counts, n_aborted)."""
+               tuples: list, cum: np.ndarray, seed: int, indices: range,
+               rtol: float, atol: float):
+    """Integrate one block of trajectories; returns (counts, n_aborted).
+
+    Every trajectory draws its start from the cell tuples and cumulative
+    distribution ``cum`` of state0, computed once per ensemble."""
     n_times = times.size
-    counts = np.zeros((n_times, len(tuple_index)), dtype=np.int64)
+    tuple_index = {c: i for i, c in enumerate(tuples)}
+    counts = np.zeros((n_times, len(tuples)), dtype=np.int64)
     aborted = 0
     for i in indices:
         rng = np.random.default_rng((seed, i))
-        lam0 = _sample_lambda(state0, field.beable_set, rng)
+        lam0 = _draw_lambda(tuples, cum, field.beable_set, rng)
         res = _integrate_on_grid(field, state0, lam0, times, rtol, atol)
         if res.status is not TrajectoryStatus.COMPLETED:
             aborted += 1
@@ -252,6 +264,22 @@ def _run_chunk(field: VelocityField, state0: QuantumState, times: np.ndarray,
             )
             counts[k, tuple_index[cells]] += 1
     return counts, aborted
+
+
+# The ensemble's fixed inputs, (field, state0, times, tuples, cum),
+# set once in each pool worker so that submitted blocks carry only their
+# seed, index range and tolerances; the worker's tuple cache persists
+# across its blocks.
+_worker_inputs = None
+
+
+def _init_worker(*inputs):
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _run_worker_chunk(seed: int, indices: range, rtol: float, atol: float):
+    return _run_chunk(*_worker_inputs, seed, indices, rtol, atol)
 
 
 def ensemble_equivariance(field: VelocityField, state0: QuantumState, n: int,
@@ -272,26 +300,25 @@ def ensemble_equivariance(field: VelocityField, state0: QuantumState, n: int,
     if times[0] < state0.time:
         raise InputError("probe times must not precede the initial state time")
 
-    tuples = all_cell_tuples(field.beable_set)
-    tuple_index = {c: i for i, c in enumerate(tuples)}
+    tuples, cum = _initial_cdf(state0, field.beable_set)
     quantum = np.empty((times.size, len(tuples)))
     for k, t in enumerate(times):
         state_t = evolve(state0, field.propagator, t - state0.time)
         _, quantum[k] = quantum_distribution(state_t, field.beable_set)
 
+    inputs = (field, state0, times, tuples, cum)
     n_workers = min(_resolve_workers(workers), n)
     counts = np.zeros((times.size, len(tuples)), dtype=np.int64)
     aborted = 0
     if n_workers <= 1:
-        counts, aborted = _run_chunk(field, state0, times, seed, range(n),
-                                     rtol, atol, tuple_index)
+        counts, aborted = _run_chunk(*inputs, seed, range(n), rtol, atol)
     else:
         chunk = max(1, math.ceil(n / (n_workers * 4)))
         blocks = [range(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with ProcessPoolExecutor(max_workers=n_workers, initializer=_init_worker,
+                                 initargs=inputs) as pool:
             futures = [
-                pool.submit(_run_chunk, field, state0, times, seed, blk,
-                            rtol, atol, tuple_index)
+                pool.submit(_run_worker_chunk, seed, blk, rtol, atol)
                 for blk in blocks
             ]
             for fut in futures:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import beable_sim as bs
-from beable_sim.dynamics import Symmetrization, _subset_weights
-from beable_sim.errors import InputError, NodeError
+from beable_sim.config import build_model, parse_config
+from beable_sim.dynamics import Symmetrization, _dp54_step, _subset_weights
+from beable_sim.errors import InputError, NodeError, NumericError
 
 from conftest import I2, SZ, random_hermitian, random_state
 
@@ -186,6 +187,120 @@ class TestVelocity:
         slope_a = (vals[1] - vals[0]) / (offsets[1] - offsets[0])
         slope_b = (vals[2] - vals[1]) / (offsets[2] - offsets[1])
         assert slope_a == pytest.approx(slope_b, abs=1e-10)
+
+
+def l3_commuting_model(rng):
+    """Three commuting beables with 2, 3 and 2 cells on dim 6, a random H and
+    a random state."""
+    shared = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0]
+    beables = []
+    for ell, cell_of in enumerate(([0, 1, 0, 1, 0, 1], [0, 1, 2, 2, 1, 0], [0, 0, 1, 1, 1, 0])):
+        values = np.array([-1.0, 0.5, 2.0])[cell_of]
+        mat = (shared * values) @ shared.conj().T
+        beables.append(bs.from_hermitian(
+            bs.Operator((mat + mat.conj().T) / 2, hermitian=True), label=f"b{ell}"))
+    bset = bs.validate_commuting_set(beables)
+    prop = bs.diagonalize(random_hermitian(rng, 6))
+    return bset, prop, random_state(rng, 6)
+
+
+def stacked_models(rng):
+    """(name, field, state) for every preset and the random L = 3 set."""
+    out = []
+    for name in bs.PRESET_NAMES:
+        m = build_model(parse_config({"preset": name}))
+        out.append((name, m.field, bs.evolve(m.state0, m.propagator, 0.7)))
+    bset, prop, state = l3_commuting_model(rng)
+    out.append(("random-l3", bs.VelocityField(bset, prop), state))
+    return out
+
+
+class TestStackedEvaluation:
+    """velocities takes P and every J_ell from one stacked product; it must
+    agree with the probability and currents views of the same forms."""
+
+    def test_velocities_are_currents_over_probability(self, rng):
+        for name, field, state in stacked_models(rng):
+            coeff = field.state_coefficients(state)
+            checked = 0
+            for cells in bs.all_cell_tuples(field.beable_set):
+                p = field.probability(coeff, cells)
+                if p <= field.node_floor:
+                    continue
+                lam = np.array(cells) + rng.uniform(-0.5, 0.5, size=len(cells))
+                want = field.currents(coeff, lam, cells) / p
+                got = field.velocities(coeff, lam, cells, state.time)
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0,
+                                           err_msg=f"{name} {cells}")
+                checked += 1
+            assert checked >= 2, name
+
+    def test_node_error_carries_cells_probability_and_time(self, rng):
+        bset, prop, state = l3_commuting_model(rng)
+        probe = bs.VelocityField(bset, prop)
+        coeff = probe.state_coefficients(state)
+        cells = bs.all_cell_tuples(bset)[3]
+        p = probe.probability(coeff, cells)
+        assert p > 0.0
+        field = bs.VelocityField(bset, prop, node_floor=2.0 * p)
+        with pytest.raises(NodeError) as err:
+            field.velocities(coeff, np.array(cells, dtype=float), cells, 1.25)
+        assert err.value.cells == cells
+        assert err.value.probability == p
+        assert err.value.time == 1.25
+
+    @pytest.mark.parametrize("ell", [0, 2])
+    def test_non_hermitian_tuple_operator_names_the_component(self, rng, ell):
+        bset, prop, state = l3_commuting_model(rng)
+        coeff = bs.VelocityField(bset, prop).state_coefficients(state)
+        tuples, probs = bs.quantum_distribution(state, bset)
+        cells = tuples[int(np.argmax(probs))]
+        lam = np.array(cells, dtype=float)
+        for symmetrization in Symmetrization:
+            field = bs.VelocityField(bset, prop, symmetrization)
+            ops, _ = field._tuple_ops(cells)
+            ops[1 + len(bset) + ell] += 1e-3j * np.eye(bset.dim)   # Y_ell += i/1000
+            if symmetrization is Symmetrization.SYMMETRIC_AVERAGE:
+                with pytest.raises(NumericError, match=f"current component {ell} "):
+                    field.velocities(coeff, lam, cells, 0.0)
+            else:
+                # the ordered variant takes the real part by construction
+                field.velocities(coeff, lam, cells, 0.0)
+
+
+# Dormand-Prince 5(4), written out independently of the production table
+DP_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
+DP_A = [
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+]
+DP_B5 = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
+DP_B4 = [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+
+
+class TestDormandPrinceStep:
+    def test_matches_the_literal_tableau(self, rng):
+        m = rng.normal(size=(3, 3))
+        rhs = lambda t, y: m @ y  # noqa: E731
+        t, h = 0.4, 0.15
+        y = rng.normal(size=3)
+        k = [rhs(t, y)]
+        for i in range(1, 7):
+            yi = y + h * sum(a * kj for a, kj in zip(DP_A[i], k))
+            k.append(rhs(t + DP_C[i] * h, yi))
+        y5 = y + h * sum(b * kj for b, kj in zip(DP_B5, k))
+        err = h * sum((b5 - b4) * kj for b5, b4, kj in zip(DP_B5, DP_B4, k))
+
+        y_new, got_err, k7 = _dp54_step(rhs, t, y, h, k[0])
+        np.testing.assert_allclose(y_new, y5, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(got_err, err, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(k7, k[6], rtol=0.0, atol=1e-14)
+        assert np.array_equal(k7, rhs(t + h, y_new))
 
 
 class TestIntegrateTrajectory:

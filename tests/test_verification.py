@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import beable_sim as bs
+from beable_sim.config import build_model, parse_config
 from beable_sim.errors import InputError
-from beable_sim.verification import _resolve_workers
+from beable_sim.verification import _draw_lambda, _initial_cdf, _resolve_workers, _sample_lambda
 
 from conftest import SZ, random_hermitian, random_state
 
@@ -46,6 +47,32 @@ class TestSampleInitial:
             lam = bs.sample_initial(state, bset, s)
             cells = tuple(bs.cell_index(x, v) for x, v in zip(bset, lam.values))
             assert cells in {(0, 0), (1, 1)}
+
+
+def reference_draw(state, bset, rng):
+    """The per-trajectory draw, distribution recomputed on every call."""
+    tuples, probs = bs.quantum_distribution(state, bset)
+    probs = np.clip(probs, 0.0, None)
+    cum = np.cumsum(probs / probs.sum())
+    idx = min(int(np.searchsorted(cum, rng.random(), side="right")), len(tuples) - 1)
+    cells = np.array(tuples[idx], dtype=float)
+    return cells + rng.uniform(-0.5, 0.5, size=len(bset))
+
+
+class TestSharedInitialDistribution:
+    def test_precomputed_distribution_draws_bit_identically(self):
+        m = build_model(parse_config({"preset": "two-qubit"}))
+        state = bs.evolve(m.state0, m.propagator, 2.0)   # every tuple above 0.1
+        initial = _initial_cdf(state, m.beable_set)
+        seen = set()
+        for seed in (0, 17):
+            for i in range(100):
+                shared = _draw_lambda(*initial, m.beable_set, np.random.default_rng((seed, i)))
+                own = _sample_lambda(state, m.beable_set, np.random.default_rng((seed, i)))
+                ref = reference_draw(state, m.beable_set, np.random.default_rng((seed, i)))
+                assert shared.values.tobytes() == own.values.tobytes() == ref.tobytes()
+                seen.add(tuple(np.floor(ref + 0.5).astype(int)))
+        assert len(seen) == 4
 
 
 class TestTwoStateSolution:
