@@ -301,22 +301,35 @@ class VelocityField:
 
     def _forms(self, coeff: np.ndarray, cells: tuple):
         """All 2L + 1 quadratic forms <coeff| ops |coeff> of the tuple, and its
-        lambda shift."""
+        lambda shift. A stack of rows (n, dim) gives (n, 2L + 1) forms, each
+        row from its own (2L + 1, dim, dim) @ (dim,) products, so a row's
+        values do not depend on the other rows and every BLAS call stays as
+        small as for one row."""
         ops, shift = self._tuple_ops(cells)
-        return (ops @ coeff) @ coeff.conj(), shift
+        if coeff.ndim == 1:
+            return (ops @ coeff) @ coeff.conj(), shift
+        images = np.matmul(ops, coeff[:, None, :, None])[..., 0]
+        return np.matmul(images, coeff.conj()[:, :, None])[..., 0], shift
 
     @staticmethod
-    def _probability_of(vals: np.ndarray) -> float:
-        p = vals[0]
-        if abs(p.imag) > 1e-10:
-            raise NumericError(f"probability has imaginary part {p.imag:.3e}")
+    def _probability_of(vals: np.ndarray):
+        if vals.ndim == 1:
+            p = vals[0]
+            imag = abs(p.imag)
+        else:
+            p = vals[:, 0]
+            imag = np.abs(p.imag).max()
+        if imag > 1e-10:
+            raise NumericError(f"probability has imaginary part {imag:.3e}")
         return p.real
 
     def _currents_of(self, vals: np.ndarray, lam, shift: np.ndarray) -> np.ndarray:
         n_b = self.n_beables
-        j = (lam + shift) * vals[1:n_b + 1] + vals[n_b + 1:]
+        j = (lam + shift) * vals[..., 1:n_b + 1] + vals[..., n_b + 1:]
         if self.symmetrization is Symmetrization.SYMMETRIC_AVERAGE:
-            for ell, imag in enumerate(j.imag.tolist()):
+            # per component, the largest imaginary part over the rows
+            imags = j.imag if j.ndim == 1 else np.abs(j.imag).max(axis=0)
+            for ell, imag in enumerate(imags.tolist()):
                 if abs(imag) > self._imag_tol:
                     raise NumericError(
                         f"current component {ell} has imaginary part {imag:.3e}"
@@ -330,12 +343,22 @@ class VelocityField:
         vals, shift = self._forms(coeff, cells)
         return self._currents_of(vals, lam, shift)
 
-    def velocities(self, coeff: np.ndarray, lam, cells: tuple, time: float) -> np.ndarray:
+    def velocities(self, coeff: np.ndarray, lam, cells: tuple, time) -> np.ndarray:
+        """v = J / P at one configuration: coeff (dim,), lam (L,), a float
+        time. Or at a stack of rows that share the cell tuple: coeff (n, dim),
+        lam (n, L) and time (n,) give (n, L), row by row equal to single
+        calls; a NodeError then names the first row at a node in ``row``."""
         vals, shift = self._forms(coeff, cells)
         p = self._probability_of(vals)
-        if p <= self.node_floor:
-            raise NodeError(cells, p, time)
-        return self._currents_of(vals, lam, shift) / p
+        if coeff.ndim == 1:
+            if p <= self.node_floor:
+                raise NodeError(cells, p, time)
+            return self._currents_of(vals, lam, shift) / p
+        low = np.flatnonzero(p <= self.node_floor)
+        if low.size:
+            row = int(low[0])
+            raise NodeError(cells, p[row], time[row], row=row)
+        return self._currents_of(vals, lam, shift) / p[:, None]
 
 
 def velocity(field: VelocityField, state: QuantumState, lambdas) -> np.ndarray:
@@ -450,48 +473,69 @@ def _hermite_first_contact(y0, y1, f0, f1, h, escapes):
     return best
 
 
+def _frozen_rhs(field: VelocityField, coeff0: np.ndarray, t0: float, cells: tuple):
+    """d lambda/dt with the cell tuple frozen; the state advances exactly, by
+    phases, from its eigenbasis coefficients coeff0 at t0."""
+    m_e = -1j * field._energies
+
+    def rhs(t, lam):
+        return field.velocities(coeff0 * np.exp(m_e * (t - t0)), lam, cells, t)
+
+    return rhs
+
+
+def _first_step(f, span: float, sgn: float):
+    """Initial step from the local velocity scale, for one f (L,) or a stack
+    of rows (n, L)."""
+    h0 = 0.1 * span if span > 0 else 1e-3
+    vmax = np.max(np.abs(f), axis=-1)
+    with np.errstate(divide="ignore"):
+        h0 = np.where(vmax > 0, np.minimum(h0, 0.1 / vmax), h0)
+    return sgn * np.maximum(h0, 1e-12)
+
+
+def _start(beable_set: BeableSet, t0: float, lam0: np.ndarray, record_times):
+    """Shared set-up of both integrators for starts lam0 (n, L): the record
+    buffer (n, n_rec, L) with the leading time recorded if it equals t0, the
+    number recorded, the direction and the start cells."""
+    record_times = np.asarray(record_times, dtype=float)
+    n_rec = record_times.size
+    rec = np.empty((lam0.shape[0], n_rec, lam0.shape[1]))
+    rec_i = 0
+    if n_rec and record_times[0] == t0:
+        rec[:, 0] = lam0
+        rec_i = 1
+    sgn = -1.0 if n_rec and record_times[-1] < t0 else 1.0
+    cells = [tuple(cell_index(b, row[ell]) for ell, b in enumerate(beable_set))
+             for row in lam0]
+    return record_times, rec, rec_i, sgn, cells
+
+
 def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
                        record_times, rtol: float, atol: float) -> _GridResult:
     """Drive d lambda/dt = v segment by segment, recording at record_times.
 
     record_times must be monotone away from state0.time (either direction)
     and start at or beyond it; a leading time equal to state0.time records
-    the initial configuration.
+    the initial configuration. The one-trajectory path of `simulate`,
+    `verify` and integrate_trajectory, and the oracle for _integrate_block.
     """
     beable_set = field.beable_set
     t0 = state0.time
     y = np.array(_lambda_values(beable_set, lambda0, strict=True), dtype=float)
     n_b = len(beable_set)
     coeff0 = field.state_coefficients(state0)
-    energies = field._energies
-
-    record_times = np.asarray(record_times, dtype=float)
+    record_times, rec, rec_i, sgn, (cells,) = _start(beable_set, t0, y[None], record_times)
+    rec = rec[0]
     n_rec = record_times.size
-    rec = np.empty((n_rec, n_b))
-    rec_i = 0
-    if n_rec and record_times[0] == t0:
-        rec[0] = y
-        rec_i = 1
     if rec_i >= n_rec:
         return _GridResult(rec, rec_i, TrajectoryStatus.COMPLETED)
-
-    sgn = 1.0 if record_times[-1] >= t0 else -1.0
-    cells = tuple(cell_index(b, y[ell]) for ell, b in enumerate(beable_set))
-
-    def rhs(t, lam):
-        coeff = coeff0 * np.exp(energies * (-1j * (t - t0)))
-        return field.velocities(coeff, lam, cells, t)
+    rhs = _frozen_rhs(field, coeff0, t0, cells)
 
     t = t0
     try:
         f_now = rhs(t, y)
-        # first step size from the local velocity scale
-        span = abs(record_times[-1] - t0)
-        h0 = 0.1 * span if span > 0 else 1e-3
-        vmax = float(np.max(np.abs(f_now)))
-        if vmax > 0:
-            h0 = min(h0, 0.1 / vmax)
-        h = sgn * max(h0, 1e-12)
+        h = float(_first_step(f_now, abs(record_times[-1] - t0), sgn))
 
         steps = 0
         while rec_i < n_rec:
@@ -509,6 +553,8 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
                 rec[rec_i] = y
                 rec_i += 1
                 continue
+            if f_now is None:
+                f_now = rhs(t, y)
 
             y_new, err, k_last = _dp54_step(rhs, t, y, h_try, f_now)
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
@@ -525,30 +571,22 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
 
             esc = _escapes(y_new, cells)
             if esc:
-                t_ev, y_ev, crossed = _locate_event(
-                    rhs, t, y, h_try, y_new, f_now, k_last, cells, esc)
-                new_cells = list(cells)
-                for ell, boundary in crossed:
-                    up = boundary > cells[ell]
-                    n_new = cells[ell] + (1 if up else -1)
-                    if not 0 <= n_new < beable_set[ell].n_cells:
-                        raise NumericError(
-                            f"lambda[{ell}] reached the domain boundary "
-                            f"{boundary:g} at t = {t_ev:.12g}; the boundary "
-                            "current vanishes, so this indicates integrator escape"
-                        )
-                    new_cells[ell] = n_new
-                t, y, cells = t_ev, y_ev, tuple(new_cells)
-                f_now = rhs(t, y)
+                t, y, cells = _locate_event(rhs, t, y, h_try, y_new, f_now, k_last,
+                                            cells, esc, beable_set)
+                rhs = _frozen_rhs(field, coeff0, t0, cells)
+                f_now = None
                 continue
 
             t = target if clamped else t + h_try
             y = y_new
-            f_now = rhs(t, y)
             if clamped:
+                # k_last sits at t + h_try, which need not round to target
+                f_now = None
                 rec[rec_i] = y
                 rec_i += 1
             else:
+                # the last stage is f(t + 1.0 * h, y_new), bit for bit
+                f_now = k_last
                 if enorm == 0.0:
                     h = h_try * 5.0
                 else:
@@ -559,15 +597,196 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
     return _GridResult(rec, rec_i, TrajectoryStatus.COMPLETED)
 
 
-def _locate_event(rhs, t, y, h, y_new, f0, f1, cells, escapes):
+def _tableau_sum(row, k):
+    """sum_j row[j] k[j] over the nonzero tableau entries, elementwise, so a
+    row of the block never meets another row in a reduction."""
+    out = None
+    for a, kj in zip(row, k):
+        if a:
+            out = a * kj if out is None else out + a * kj
+    return out
+
+
+def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
+                     record_times, rtol: float, atol: float) -> list:
+    """_integrate_on_grid for every row of lam0 (n, L) at once; returns one
+    _GridResult per row.
+
+    Rows advance in lockstep, each with its own t, step, cells and status,
+    under the same rules: the Dormand-Prince tableau, error norm, accept and
+    reject factors, first step, clamping to record times, MAX_STEPS and the
+    underflow check. Each stage makes one stacked VelocityField.velocities
+    call per cell tuple among the rows; a row whose accepted step leaves its
+    cell goes alone through _locate_event. Every operation is row by row
+    (elementwise, or a per-row product inside velocities), so a row's result
+    does not depend on the other rows of the block: any split of an ensemble
+    into blocks gives bit-identical results.
+    """
+    beable_set = field.beable_set
+    n_b = len(beable_set)
+    lam0 = np.asarray(lam0, dtype=float)
+    if lam0.ndim != 2 or lam0.shape[1] != n_b:
+        raise InputError(f"starts must have shape (n, {n_b}), got {lam0.shape}")
+    y = np.array([_lambda_values(beable_set, row, strict=True) for row in lam0],
+                 dtype=float).reshape(-1, n_b)
+    n = y.shape[0]
+    t0 = state0.time
+    coeff0 = field.state_coefficients(state0)
+    m_e = -1j * field._energies
+    record_times, rec, rec_start, sgn, cells = _start(beable_set, t0, y, record_times)
+    n_rec = record_times.size
+    # cells as tuples (velocities' cache keys), as floats (escape tests) and
+    # as one row-major code per row (grouping)
+    cell_arr = np.array(cells, dtype=float).reshape(n, n_b)
+    radix = np.cumprod((1,) + beable_set.cell_counts[:0:-1])[::-1]
+    code = cell_arr.astype(np.intp) @ radix
+    rec_i = np.full(n, rec_start)
+    status = [TrajectoryStatus.COMPLETED] * n
+    aborts = [(None, None)] * n
+    running = rec_i < n_rec
+
+    def abort(row, node):
+        status[row] = TrajectoryStatus.NODE_ABORTED
+        aborts[row] = (node.time, node.cells)
+        running[row] = False
+
+    def evaluate(rows, ts, ys):
+        """f at (ts, ys) of the given rows, one velocities call per cell
+        tuple among them; rows at a node are aborted and come back False in
+        the returned mask."""
+        f = np.zeros_like(ys)
+        ok = np.ones(rows.size, dtype=bool)
+        if not rows.size:
+            return f, ok
+        coeff = coeff0 * np.exp(m_e * (ts - t0)[:, None])
+        codes = code[rows]
+        order = np.argsort(codes, kind="stable")
+        cuts = np.flatnonzero(np.diff(codes[order])) + 1
+        for pos in np.split(order, cuts):
+            tup = cells[rows[pos[0]]]
+            while pos.size:
+                try:
+                    f[pos] = field.velocities(coeff[pos], ys[pos], tup, ts[pos])
+                    break
+                except NodeError as node:
+                    abort(int(rows[pos[node.row]]), node)
+                    ok[pos[node.row]] = False
+                    pos = np.delete(pos, node.row)
+        return f, ok
+
+    t = np.full(n, t0)
+    f = np.zeros_like(y)
+    fresh = np.zeros(n, dtype=bool)
+    h = np.zeros(n)
+    if running.any():
+        rows = np.flatnonzero(running)
+        f[rows], fresh[rows] = evaluate(rows, t[rows], y[rows])
+        h[rows] = _first_step(f[rows], abs(record_times[-1] - t0), sgn)
+
+    steps = 0
+    while running.any():
+        steps += 1
+        if steps > MAX_STEPS:
+            raise NumericError(f"integration exceeded {MAX_STEPS} steps")
+        act = np.flatnonzero(running)
+        ta = t[act]
+        target = record_times[rec_i[act]]
+        clamped = (ta + h[act] - target) * sgn >= 0.0
+        h_try = np.where(clamped, target - ta, h[act])
+        # a target numerically at t is recorded without a step
+        at = np.abs(h_try) < 1e-15 * np.maximum(1.0, np.abs(ta))
+        if at.any():
+            rows = act[at]
+            rec[rows, rec_i[rows]] = y[rows]
+            rec_i[rows] += 1
+            running[rows] = rec_i[rows] < n_rec
+        stale = act[~at & ~fresh[act]]
+        if stale.size:
+            f[stale], fresh[stale] = evaluate(stale, t[stale], y[stale])
+        go = ~at & running[act]
+        if not go.all():
+            act, ta, target, h_try, clamped = (
+                act[go], ta[go], target[go], h_try[go], clamped[go])
+            if not act.size:
+                continue
+
+        # the Dormand-Prince stages; a row that meets a node leaves `live`
+        ya = y[act]
+        hcol = h_try[:, None]
+        k = [f[act]]
+        live = np.ones(act.size, dtype=bool)
+        for i in range(1, 7):
+            yi = ya + hcol * _tableau_sum(_DP_A[i], k)
+            k.append(np.zeros_like(ya))
+            sub = np.flatnonzero(live)
+            k[i][sub], live[sub] = evaluate(act[sub], ta[sub] + _DP_C[i] * h_try[sub], yi[sub])
+        y_new = yi
+        scale = atol + rtol * np.maximum(np.abs(ya), np.abs(y_new))
+        ratio = hcol * _tableau_sum(_DP_ERR, k) / scale
+        enorm = np.sqrt((ratio * ratio).sum(axis=1) / n_b)
+
+        rejected = live & (enorm > 1.0)
+        if rejected.any():
+            h_new = h_try[rejected] * np.maximum(0.2, 0.9 * enorm[rejected] ** -0.2)
+            tiny = np.flatnonzero(
+                np.abs(h_new) < 1e-14 * np.maximum(1.0, np.abs(ta[rejected])))
+            if tiny.size:
+                raise NumericError(
+                    f"step size underflow at t = {ta[rejected][tiny[0]]:.12g} "
+                    f"(h = {h_new[tiny[0]]:.3e})"
+                )
+            h[act[rejected]] = h_new
+
+        accepted = live & ~rejected
+        frozen = cell_arr[act]
+        escaped = accepted & ((y_new > frozen + 0.5) | (y_new < frozen - 0.5)).any(axis=1)
+        for pos in np.flatnonzero(escaped).tolist():
+            row = int(act[pos])
+            fresh[row] = False
+            try:
+                t[row], y[row], cells[row] = _locate_event(
+                    _frozen_rhs(field, coeff0, t0, cells[row]), ta[pos], ya[pos],
+                    h_try[pos], y_new[pos], k[0][pos], k[6][pos], cells[row],
+                    _escapes(y_new[pos], cells[row]), beable_set)
+            except NodeError as node:
+                abort(row, node)
+                continue
+            cell_arr[row] = cells[row]
+            code[row] = cell_arr[row].astype(np.intp) @ radix
+
+        moved = accepted & ~escaped
+        pos = np.flatnonzero(moved & clamped)
+        rows = act[pos]
+        t[rows] = target[pos]
+        y[rows] = y_new[pos]
+        fresh[rows] = False
+        rec[rows, rec_i[rows]] = y_new[pos]
+        rec_i[rows] += 1
+        running[rows] = rec_i[rows] < n_rec
+
+        pos = np.flatnonzero(moved & ~clamped)
+        rows = act[pos]
+        t[rows] = ta[pos] + h_try[pos]
+        y[rows] = y_new[pos]
+        f[rows] = k[6][pos]
+        with np.errstate(divide="ignore"):
+            grow = np.minimum(5.0, np.maximum(0.2, 0.9 * enorm[pos] ** -0.2))
+        h[rows] = h_try[pos] * np.where(enorm[pos] == 0.0, 5.0, grow)
+
+    return [_GridResult(rec[row], int(rec_i[row]), status[row], *aborts[row])
+            for row in range(n)]
+
+
+def _locate_event(rhs, t, y, h, y_new, f0, f1, cells, escapes, beable_set):
     """Find the first cell-boundary crossing inside an accepted step.
 
     Bisection on the step's cubic Hermite interpolant of lambda(t) seeds the
     crossing time, a short Newton loop on genuine sub-steps polishes the
     crossing component to within 1e-12 of its half-integer boundary, and a
     plain step-size bisection covers pathological cases. Returns
-    (t_event, y_event, [(ell, boundary), ...]) with the crossing components
-    snapped exactly onto their boundaries.
+    (t_event, y_event, new_cells): the crossing components snapped exactly
+    onto their boundaries, and the cells they cross into. Crossing out of
+    the lambda domain raises NumericError.
     """
     theta, m, boundary = _hermite_first_contact(y, y_new, f0, f1, h, escapes)
     h_est = max(theta, 1e-6) * h
@@ -623,7 +842,18 @@ def _locate_event(rhs, t, y, h, y_new, f0, f1, cells, escapes):
     for ell, b_val, _excess in _escapes(y_out, cells):
         y_out[ell] = b_val
         crossed.append((ell, b_val))
-    return t + h_est, y_out, crossed
+    t_event = t + h_est
+    new_cells = list(cells)
+    for ell, boundary in crossed:
+        n_new = cells[ell] + (1 if boundary > cells[ell] else -1)
+        if not 0 <= n_new < beable_set[ell].n_cells:
+            raise NumericError(
+                f"lambda[{ell}] reached the domain boundary "
+                f"{boundary:g} at t = {t_event:.12g}; the boundary "
+                "current vanishes, so this indicates integrator escape"
+            )
+        new_cells[ell] = n_new
+    return t_event, y_out, tuple(new_cells)
 
 
 def _output_grid(t0: float, t_final: float, output_dt: float) -> np.ndarray:

@@ -36,13 +36,15 @@ class NodeError(NumericError):
     """Velocity evaluation hit a (near-)node where P <= node_floor.
 
     Carries the offending cell tuple, the probability value, and the time
-    so node aborts stay diagnosable.
+    so node aborts stay diagnosable; ``row`` is the offending row's index
+    when the evaluation covered a stack of rows, else None.
     """
 
-    def __init__(self, cells, probability, time):
+    def __init__(self, cells, probability, time, row=None):
         self.cells = tuple(int(c) for c in cells)
         self.probability = float(probability)
         self.time = float(time)
+        self.row = row
         super().__init__(
             f"probability {self.probability:.3e} at cells {self.cells} "
             f"(t={self.time:.6g}) is at or below the node floor"

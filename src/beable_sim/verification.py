@@ -31,7 +31,7 @@ from .dynamics import (
     DEFAULT_RTOL,
     TrajectoryStatus,
     VelocityField,
-    _integrate_on_grid,
+    _integrate_block,
     quantum_distribution,
     _lambda_values,
 )
@@ -245,15 +245,19 @@ def _run_chunk(field: VelocityField, state0: QuantumState, times: np.ndarray,
     """Integrate one block of trajectories; returns (counts, n_aborted).
 
     Every trajectory draws its start from the cell tuples and cumulative
-    distribution ``cum`` of state0, computed once per ensemble."""
+    distribution ``cum`` of state0, computed once per ensemble, with its own
+    stream (seed, index). The whole block is integrated in lockstep by
+    _integrate_block, whose rows do not depend on each other, so the counts
+    do not depend on how an ensemble is split into blocks."""
     n_times = times.size
     tuple_index = {c: i for i, c in enumerate(tuples)}
     counts = np.zeros((n_times, len(tuples)), dtype=np.int64)
+    starts = np.array([
+        _draw_lambda(tuples, cum, field.beable_set, np.random.default_rng((seed, i))).values
+        for i in indices
+    ]).reshape(len(indices), len(field.beable_set))
     aborted = 0
-    for i in indices:
-        rng = np.random.default_rng((seed, i))
-        lam0 = _draw_lambda(tuples, cum, field.beable_set, rng)
-        res = _integrate_on_grid(field, state0, lam0, times, rtol, atol)
+    for res in _integrate_block(field, state0, starts, times, rtol, atol):
         if res.status is not TrajectoryStatus.COMPLETED:
             aborted += 1
             continue
@@ -313,7 +317,7 @@ def ensemble_equivariance(field: VelocityField, state0: QuantumState, n: int,
     if n_workers <= 1:
         counts, aborted = _run_chunk(*inputs, seed, range(n), rtol, atol)
     else:
-        chunk = max(1, math.ceil(n / (n_workers * 4)))
+        chunk = math.ceil(n / n_workers)
         blocks = [range(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
         with ProcessPoolExecutor(max_workers=n_workers, initializer=_init_worker,
                                  initargs=inputs) as pool:

@@ -6,8 +6,15 @@ from hypothesis import example, given, settings, strategies as st
 
 import beable_sim as bs
 from beable_sim.config import build_model, parse_config
-from beable_sim.dynamics import Symmetrization, _dp54_step, _subset_weights
+from beable_sim.dynamics import (
+    Symmetrization,
+    _dp54_step,
+    _integrate_block,
+    _integrate_on_grid,
+    _subset_weights,
+)
 from beable_sim.errors import InputError, NodeError, NumericError
+from beable_sim.verification import _draw_lambda, _initial_cdf
 
 from conftest import I2, SZ, random_hermitian, random_state
 
@@ -266,6 +273,169 @@ class TestStackedEvaluation:
             else:
                 # the ordered variant takes the real part by construction
                 field.velocities(coeff, lam, cells, 0.0)
+
+
+BLOCK_TOL = dict(rtol=1e-7, atol=1e-9)     # the ensemble tolerances
+
+
+def block_models(rng):
+    """(name, field, state0, probe times) for every preset and the random
+    L = 3 set."""
+    out = []
+    for name in bs.PRESET_NAMES:
+        cfg = parse_config({"preset": name})
+        m = build_model(cfg)
+        out.append((name, m.field, m.state0, np.array(cfg.run.times)))
+    bset, prop, state = l3_commuting_model(rng)
+    out.append(("random-l3", bs.VelocityField(bset, prop), state, np.array([0.5, 1.5, 3.0])))
+    return out
+
+
+def seeded_starts(field, state0, n, seed=2024):
+    """n starts drawn as an ensemble draws them, one stream per index."""
+    tuples, cum = _initial_cdf(state0, field.beable_set)
+    return np.array([
+        _draw_lambda(tuples, cum, field.beable_set, np.random.default_rng((seed, i))).values
+        for i in range(n)])
+
+
+def recorded_cells(field, res):
+    return [tuple(bs.cell_index(b, lam[ell]) for ell, b in enumerate(field.beable_set))
+            for lam in res.lambdas[:res.n_recorded]]
+
+
+def assert_rows_identical(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert (a.status, a.n_recorded, a.abort_time, a.abort_cells) == \
+            (b.status, b.n_recorded, b.abort_time, b.abort_cells)
+        assert np.array_equal(a.lambdas[:a.n_recorded], b.lambdas[:b.n_recorded])
+
+
+class TestBlockIntegration:
+    """_integrate_block advances a stack of starts in lockstep; the
+    one-trajectory _integrate_on_grid is its oracle."""
+
+    def test_matches_the_scalar_path(self, rng):
+        for name, field, state0, times in block_models(rng):
+            starts = seeded_starts(field, state0, 50)
+            try:
+                want = [_integrate_on_grid(field, state0, lam, times, **BLOCK_TOL)
+                        for lam in starts]
+            except NumericError:
+                with pytest.raises(NumericError):
+                    _integrate_block(field, state0, starts, times, **BLOCK_TOL)
+                continue
+            got = _integrate_block(field, state0, starts, times, **BLOCK_TOL)
+            assert len(got) == len(starts)
+            for i, (a, b) in enumerate(zip(got, want)):
+                what = f"{name} start {i}"
+                assert a.status is b.status, what
+                assert a.n_recorded == b.n_recorded, what
+                assert a.abort_cells == b.abort_cells, what
+                np.testing.assert_allclose(a.lambdas[:a.n_recorded], b.lambdas[:b.n_recorded],
+                                           rtol=0.0, atol=1e-12, err_msg=what)
+                assert recorded_cells(field, a) == recorded_cells(field, b), what
+
+    def test_rows_do_not_depend_on_the_block(self, rng):
+        for name, field, state0, times in block_models(rng):
+            if name not in ("two-qubit", "random-l3"):
+                continue
+            starts = seeded_starts(field, state0, 50, seed=7)
+            whole = _integrate_block(field, state0, starts, times, **BLOCK_TOL)
+            ones = [r for lam in starts
+                    for r in _integrate_block(field, state0, lam[None], times, **BLOCK_TOL)]
+            sevens = [r for lo in range(0, 50, 7)
+                      for r in _integrate_block(field, state0, starts[lo:lo + 7], times,
+                                                **BLOCK_TOL)]
+            assert_rows_identical(ones, whole)
+            assert_rows_identical(sevens, whole)
+
+    def test_stacked_velocities_match_single_calls(self, rng):
+        for name, field, state in stacked_models(rng):
+            coeff0 = field.state_coefficients(state)
+            m_e = -1j * field.propagator.energies
+            for cells in bs.all_cell_tuples(field.beable_set):
+                times = state.time + rng.uniform(0.0, 2.0, size=6)
+                coeff = coeff0 * np.exp(m_e * (times - state.time)[:, None])
+                lam = np.array(cells) + rng.uniform(-0.5, 0.5, size=(6, len(cells)))
+                probs = [field.probability(c, cells) for c in coeff]
+                if min(probs) <= field.node_floor:
+                    continue
+                got = field.velocities(coeff, lam, cells, times)
+                want = [field.velocities(c, x, cells, t) for c, x, t in zip(coeff, lam, times)]
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0,
+                                           err_msg=f"{name} {cells}")
+
+    def test_stacked_node_error_names_the_row(self, rabi):
+        # cell 0 is empty in |up> at t = 0 and fills as sin^2(t / 2)
+        coeff = rabi.field.state_coefficients(rabi.state0)
+        times = np.array([1.0, 0.0, 0.0])
+        stack = coeff * np.exp(-1j * rabi.propagator.energies * times[:, None])
+        with pytest.raises(NodeError) as err:
+            rabi.field.velocities(stack, np.zeros((3, 1)), (0,), times)
+        assert (err.value.row, err.value.cells, err.value.time) == (1, (0,), 0.0)
+
+    def test_a_row_at_a_node_aborts_while_the_others_complete(self, rabi):
+        # P(cell 1) = cos^2(t / 2): starts whose level sin^2(t / 2) is still
+        # ahead when P falls to the floor abort there; 0.2 starts in the empty
+        # cell 0; the rest cross into cell 0 above the floor and complete
+        field = bs.VelocityField(rabi.beable_set, rabi.propagator, node_floor=0.2)
+        starts = np.array([[0.2], [0.8], [1.0], [1.2], [1.45], [1.49]])
+        times = np.array([0.0, 1.0, 2.0, 3.0])
+        got = _integrate_block(field, rabi.state0, starts, times, **BLOCK_TOL)
+        want = [_integrate_on_grid(field, rabi.state0, lam, times, **BLOCK_TOL)
+                for lam in starts]
+        statuses = [r.status for r in got]
+        assert statuses == [bs.TrajectoryStatus.NODE_ABORTED] + \
+            [bs.TrajectoryStatus.COMPLETED] * 3 + [bs.TrajectoryStatus.NODE_ABORTED] * 2
+        assert got[0].abort_time == 0.0 and got[0].n_recorded == 1
+        for a, b in zip(got, want):
+            assert (a.status, a.n_recorded, a.abort_cells) == \
+                (b.status, b.n_recorded, b.abort_cells)
+            if b.abort_time is not None:
+                # the abort is seen at a stage time; the two paths round the
+                # error estimate differently, so step sizes agree to ~1e-9
+                assert a.abort_time == pytest.approx(b.abort_time, rel=0.0, abs=1e-9)
+            np.testing.assert_allclose(a.lambdas[:a.n_recorded], b.lambdas[:b.n_recorded],
+                                       rtol=0.0, atol=1e-12)
+        # the aborts come at the first stage after cos^2(t / 2) reaches the floor
+        t_node = 2.0 * np.arccos(np.sqrt(0.2))
+        for r in got[4:]:
+            assert r.abort_cells == (1,)
+            assert t_node <= r.abort_time < t_node + 0.1
+
+    def test_non_hermitian_current_raises(self, rng):
+        bset, prop, state = l3_commuting_model(rng)
+        tuples, probs = bs.quantum_distribution(state, bset)
+        cells = tuples[int(np.argmax(probs))]
+        starts = np.array(cells) + rng.uniform(-0.1, 0.1, size=(5, len(cells)))
+        for symmetrization in Symmetrization:
+            field = bs.VelocityField(bset, prop, symmetrization)
+            ops, _ = field._tuple_ops(cells)
+            ops[1 + len(bset) + 1] += 1e-3j * np.eye(bset.dim)   # Y_1 += i/1000
+            if symmetrization is Symmetrization.SYMMETRIC_AVERAGE:
+                with pytest.raises(NumericError, match="current component 1 "):
+                    _integrate_block(field, state, starts, [0.5], **BLOCK_TOL)
+            else:
+                # the ordered variant takes the real part by construction
+                _integrate_block(field, state, starts, [0.5], **BLOCK_TOL)
+
+    def test_step_underflow_raises_on_both_paths(self, rabi, monkeypatch):
+        # an error estimate no step can satisfy must surface as a numeric
+        # error instead of spinning forever
+        import beable_sim.dynamics as dyn
+
+        monkeypatch.setattr(dyn, "_DP_ERR", np.full(7, 1e30))
+        with pytest.raises(NumericError, match="underflow"):
+            _integrate_on_grid(rabi.field, rabi.state0, [1.2], [1.0], **BLOCK_TOL)
+        with pytest.raises(NumericError, match="underflow"):
+            _integrate_block(rabi.field, rabi.state0, [[0.9], [1.2]], [1.0], **BLOCK_TOL)
+
+    def test_starts_must_be_a_stack(self, rabi):
+        with pytest.raises(InputError, match="shape"):
+            _integrate_block(rabi.field, rabi.state0, [1.2], [1.0], **BLOCK_TOL)
+        with pytest.raises(InputError, match="outside"):
+            _integrate_block(rabi.field, rabi.state0, [[1.2], [1.5]], [1.0], **BLOCK_TOL)
 
 
 # Dormand-Prince 5(4), written out independently of the production table

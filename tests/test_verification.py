@@ -254,6 +254,16 @@ class TestEnsembleEquivariance:
         parallel = bs.ensemble_equivariance(rabi.field, rabi.state0, 120, workers=2, **kwargs)
         assert np.array_equal(serial.empirical, parallel.empirical)
 
+    def test_two_qubit_counts_do_not_depend_on_the_block_split(self):
+        m = build_model(parse_config({"preset": "two-qubit"}))
+        counts = [
+            bs.ensemble_equivariance(m.field, m.state0, 150, [1.0, 2.5], seed=8,
+                                     rtol=1e-7, atol=1e-9, workers=workers).empirical
+            for workers in (1, 2, 3)
+        ]
+        assert np.array_equal(counts[0], counts[1])
+        assert np.array_equal(counts[0], counts[2])
+
     def test_histogram_sums_to_completed(self, rabi):
         rep = bs.ensemble_equivariance(rabi.field, rabi.state0, 120,
                                        [0.3, 0.9], seed=3, workers=1,
