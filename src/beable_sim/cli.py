@@ -6,8 +6,8 @@ Subcommands:
   verify    run the invariant check suite against a model
 
 Exit codes: 0 success, 1 validation error, 2 numeric/node failure,
-3 verification check failure. BEABLE_SIM_THREADS overrides the ensemble
-worker count (default: available parallelism).
+3 verification check failure. BEABLE_SIM_THREADS sets the ensemble
+worker count when --workers is absent (default: available parallelism).
 """
 
 from __future__ import annotations

@@ -24,7 +24,13 @@ import numpy as np
 
 from . import __version__
 from .beables import BeableSet, from_hermitian, validate_commuting_set
-from .dynamics import Symmetrization, VelocityField
+from .dynamics import (
+    DEFAULT_ATOL,
+    DEFAULT_NODE_FLOOR,
+    DEFAULT_RTOL,
+    Symmetrization,
+    VelocityField,
+)
 from .errors import ConfigError, InputError
 from .linalg import (
     HERMITICITY_TOL,
@@ -87,10 +93,10 @@ class BeableSpec:
 
 @dataclass
 class DynamicsOptions:
-    symmetrization: str = "symmetric_average"
-    rtol: float = 1e-9
-    atol: float = 1e-11
-    node_floor: float = 1e-12
+    symmetrization: str = Symmetrization.SYMMETRIC_AVERAGE.value
+    rtol: float = DEFAULT_RTOL
+    atol: float = DEFAULT_ATOL
+    node_floor: float = DEFAULT_NODE_FLOOR
 
 
 @dataclass
@@ -158,6 +164,15 @@ def _field_preset(value, section: str):
     return cfg["hamiltonian"] if section == "hamiltonian" else cfg["initial_state"]
 
 
+def _options(cls, raw: dict, section: str, convert: dict):
+    """cls from the keys that raw[section] states, each through its
+    converter; every other field keeps the default declared on cls."""
+    given = raw.get(section, {})
+    if not isinstance(given, dict):
+        raise InputError(f"{section} must be an object")
+    return cls(**{key: conv(given[key]) for key, conv in convert.items() if key in given})
+
+
 def parse_config(raw: dict) -> ModelConfig:
     """Turn a JSON-level dict into a ModelConfig (structural errors only;
     physics validation happens in validate_model)."""
@@ -194,21 +209,11 @@ def parse_config(raw: dict) -> ModelConfig:
                             if "degeneracy_tol" in entry else None),
         ))
 
-    dyn_raw = raw.get("dynamics", {})
-    dyn = DynamicsOptions(
-        symmetrization=str(dyn_raw.get("symmetrization", "symmetric_average")),
-        rtol=float(dyn_raw.get("rtol", 1e-9)),
-        atol=float(dyn_raw.get("atol", 1e-11)),
-        node_floor=float(dyn_raw.get("node_floor", 1e-12)),
-    )
-    run_raw = raw.get("run", {})
-    run = RunOptions(
-        t_final=float(run_raw.get("t_final", 1.0)),
-        output_dt=float(run_raw.get("output_dt", 0.05)),
-        n_trajectories=int(run_raw.get("n_trajectories", 1000)),
-        seed=int(run_raw.get("seed", 0)),
-        times=tuple(float(t) for t in run_raw.get("times", ())),
-    )
+    dyn = _options(DynamicsOptions, raw, "dynamics", {
+        "symmetrization": str, "rtol": float, "atol": float, "node_floor": float})
+    run = _options(RunOptions, raw, "run", {
+        "t_final": float, "output_dt": float, "n_trajectories": int, "seed": int,
+        "times": lambda times: tuple(float(t) for t in times)})
     return ModelConfig(dimension=dim, hamiltonian=h, beables=beables,
                        initial_state=state, dynamics=dyn, run=run)
 

@@ -5,10 +5,25 @@ product of cell projectors and J_ell is the (ordering-averaged) expectation
 of the current operator sandwiched between the other beables' projectors.
 P is constant and J_ell affine in lambda_ell inside a cell, so the ODE
 right-hand side is piecewise smooth with jumps only at half-integer cell
-boundaries. Integration therefore runs segment by segment with frozen cell
-assignments, an embedded Dormand-Prince 4(5) pair, and boundary-crossing
-events located to 1e-12 in lambda before the cells are updated and the
-integration restarts.
+boundaries. Integration steps an embedded Dormand-Prince 4(5) pair with the
+cell assignment held fixed during each step, and its step control places
+every cell crossing to CROSSING_TOL in lambda by three rules:
+
+1. Before a trial step, a component moving toward an interior cell
+   boundary (never a domain end, where J = 0) whose linear prediction from
+   the step's first stage reaches that boundary within the step shortens
+   the step to land CROSSING_TOL / 2 past it. It crosses in place instead
+   if it is already within CROSSING_TOL of the boundary, or if the
+   shortened step would fall below the time resolution 1e-14 max(1, |t|).
+2. An error-accepted trial that escapes its cell by more than CROSSING_TOL
+   is retried from the same point, shortened to the first boundary contact
+   of the step's cubic Hermite interpolant.
+3. A trial that escapes by at most CROSSING_TOL is accepted; its escaped
+   components are snapped onto their boundaries and step into the next
+   cell. Escaping through a domain end raises NumericError.
+
+Accepted aimed and retried steps leave the controller's step size
+unchanged; a rejected one shrinks it like any rejected step.
 
 P, the cell distribution and J are built in the beables' joint eigenbasis,
 where cell projectors are 0/1 masks, and evaluated in the Hamiltonian
@@ -33,6 +48,7 @@ DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
 DEFAULT_NODE_FLOOR = 1e-12
 CROSSING_TOL = 1e-12
+_HALF_TOL = 0.5 * CROSSING_TOL
 CURRENT_IMAG_TOL = 1e-9
 MAX_STEPS = 1_000_000
 
@@ -473,15 +489,71 @@ def _hermite_first_contact(y0, y1, f0, f1, h, escapes):
     return best
 
 
-def _frozen_rhs(field: VelocityField, coeff0: np.ndarray, t0: float, cells: tuple):
-    """d lambda/dt with the cell tuple frozen; the state advances exactly, by
-    phases, from its eigenbasis coefficients coeff0 at t0."""
-    m_e = -1j * field._energies
+def _retry_step(y, y_new, f0, f1, h, esc):
+    """Rule 2: the step to retry from y, ending at the first contact of the
+    Hermite interpolant (half the step if that rounds to its end), when the
+    accepted step to y_new escapes by more than CROSSING_TOL; else None."""
+    if not esc or max(e[2] for e in esc) <= CROSSING_TOL:
+        return None
+    theta = _hermite_first_contact(y, y_new, f0, f1, h, esc)[0]
+    return theta * h if theta < 1.0 else 0.5 * h
 
-    def rhs(t, lam):
-        return field.velocities(coeff0 * np.exp(m_e * (t - t0)), lam, cells, t)
 
-    return rhs
+def _aim(h, y, f, cells, n_cells, res):
+    """Rule 1 for one trajectory in Python floats, y and f lists: returns the
+    aimed step (None if the prediction y + h f reaches no interior boundary)
+    and the (ell, boundary) pairs to cross in place."""
+    h_aim = None
+    now = []
+    for ell, (lam, v, n, top) in enumerate(zip(y, f, cells, n_cells)):
+        d = h * v
+        if d > 0.0 and n + 1 < top:
+            s, gap = 1.0, n + 0.5 - lam
+        elif d < 0.0 and n > 0:
+            s, gap = -1.0, n - 0.5 - lam
+        else:
+            continue
+        if s * gap > s * d:
+            continue
+        h_a = (gap + s * _HALF_TOL) / v
+        if s * gap <= CROSSING_TOL or abs(h_a) < res:
+            now.append((ell, n + 0.5 * s))
+        elif h_aim is None or abs(h_a) < abs(h_aim):
+            h_aim = h_a
+    return h_aim, now
+
+
+def _aim_rows(h, y, f, cell_arr, n_cells, res):
+    """_aim for rows (n, L), with the same arithmetic elementwise: returns
+    |aimed step| per row (inf if none), the mask of components to cross in
+    place and the boundary each component moves toward."""
+    d = h[:, None] * f
+    s = np.sign(d)
+    boundary = cell_arr + 0.5 * s
+    gap = boundary - y
+    beyond = cell_arr + s
+    reach = (d != 0.0) & (s * gap <= s * d) & (beyond >= 0) & (beyond < n_cells)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h_a = (gap + s * _HALF_TOL) / f
+    now = reach & ((s * gap <= CROSSING_TOL) | (np.abs(h_a) < res[:, None]))
+    aim = np.where(reach & ~now, np.abs(h_a), np.inf).min(axis=1)
+    return aim, now, boundary
+
+
+def _cross(y, cells, crossings, n_cells, t):
+    """Rule 3 and the in-place crossing: snap each (ell, boundary, ...) of
+    crossings exactly onto its boundary and step its cell across it; returns
+    (y, cells). Crossing a domain end raises NumericError."""
+    y = y.copy()
+    cells = list(cells)
+    for ell, boundary, *_ in crossings:
+        n = cells[ell] + (1 if boundary > cells[ell] else -1)
+        if not 0 <= n < n_cells[ell]:
+            raise NumericError(f"lambda[{ell}] reached the domain boundary {boundary:g} at "
+                               f"t = {t:.12g}, where the current vanishes: integrator escape")
+        y[ell] = boundary
+        cells[ell] = n
+    return y, tuple(cells)
 
 
 def _first_step(f, span: float, sgn: float):
@@ -513,26 +585,33 @@ def _start(beable_set: BeableSet, t0: float, lam0: np.ndarray, record_times):
 
 def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
                        record_times, rtol: float, atol: float) -> _GridResult:
-    """Drive d lambda/dt = v segment by segment, recording at record_times.
+    """Drive d lambda/dt = v through the cells, recording at record_times.
 
     record_times must be monotone away from state0.time (either direction)
     and start at or beyond it; a leading time equal to state0.time records
-    the initial configuration. The one-trajectory path of `simulate`,
-    `verify` and integrate_trajectory, and the oracle for _integrate_block.
+    the initial configuration. Cell crossings follow the three rules of the
+    module docstring. The one-trajectory path of `simulate`, `verify` and
+    integrate_trajectory, and the oracle for _integrate_block.
     """
     beable_set = field.beable_set
+    n_cells = beable_set.cell_counts
     t0 = state0.time
     y = np.array(_lambda_values(beable_set, lambda0, strict=True), dtype=float)
     n_b = len(beable_set)
     coeff0 = field.state_coefficients(state0)
+    m_e = -1j * field._energies
     record_times, rec, rec_i, sgn, (cells,) = _start(beable_set, t0, y[None], record_times)
     rec = rec[0]
     n_rec = record_times.size
     if rec_i >= n_rec:
         return _GridResult(rec, rec_i, TrajectoryStatus.COMPLETED)
-    rhs = _frozen_rhs(field, coeff0, t0, cells)
+
+    def rhs(t, lam):
+        # the state advances exactly, by phases; the cells are the current ones
+        return field.velocities(coeff0 * np.exp(m_e * (t - t0)), lam, cells, t)
 
     t = t0
+    retry = None
     try:
         f_now = rhs(t, y)
         h = float(_first_step(f_now, abs(record_times[-1] - t0), sgn))
@@ -543,18 +622,26 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
             if steps > MAX_STEPS:
                 raise NumericError(f"integration exceeded {MAX_STEPS} steps")
             target = record_times[rec_i]
-            clamped = False
-            h_try = h
-            if (t + h_try - target) * sgn >= 0.0:
+            h_try = h if retry is None else retry
+            retry = None
+            clamped = (t + h_try - target) * sgn >= 0.0
+            if clamped:
                 h_try = target - t
-                clamped = True
-            if abs(h_try) < 1e-15 * max(1.0, abs(t)):
-                # target is numerically at t; record and move on
-                rec[rec_i] = y
-                rec_i += 1
-                continue
+                if abs(h_try) < 1e-15 * max(1.0, abs(t)):
+                    # target is numerically at t; record and move on
+                    rec[rec_i] = y
+                    rec_i += 1
+                    continue
             if f_now is None:
                 f_now = rhs(t, y)
+            h_aim, now = _aim(float(h_try), y.tolist(), f_now.tolist(), cells, n_cells,
+                              1e-14 * max(1.0, abs(t)))
+            if now:
+                y, cells = _cross(y, cells, now, n_cells, t)
+                f_now = None
+                continue
+            if h_aim is not None and abs(h_aim) < abs(h_try):
+                h_try, clamped = h_aim, False
 
             y_new, err, k_last = _dp54_step(rhs, t, y, h_try, f_now)
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
@@ -568,29 +655,22 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
                         f"step size underflow at t = {t:.12g} (h = {h:.3e})"
                     )
                 continue
-
-            esc = _escapes(y_new, cells)
-            if esc:
-                t, y, cells = _locate_event(rhs, t, y, h_try, y_new, f_now, k_last,
-                                            cells, esc, beable_set)
-                rhs = _frozen_rhs(field, coeff0, t0, cells)
-                f_now = None
+            esc = _escapes(y_new.tolist(), cells)
+            retry = _retry_step(y, y_new, f_now, k_last, h_try, esc)
+            if retry is not None:
                 continue
 
             t = target if clamped else t + h_try
-            y = y_new
+            y, cells = _cross(y_new, cells, esc, n_cells, t) if esc else (y_new, cells)
+            # the last stage is f(t + 1.0 * h, y_new) in the old cells, bit
+            # for bit; a clamped t need not equal t + h_try
+            f_now = None if clamped or esc else k_last
             if clamped:
-                # k_last sits at t + h_try, which need not round to target
-                f_now = None
                 rec[rec_i] = y
                 rec_i += 1
-            else:
-                # the last stage is f(t + 1.0 * h, y_new), bit for bit
-                f_now = k_last
-                if enorm == 0.0:
-                    h = h_try * 5.0
-                else:
-                    h = h_try * min(5.0, max(0.2, 0.9 * enorm ** -0.2))
+            elif h_try == h:
+                # only a step of the controller's own size adapts it
+                h = h_try * (5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2)))
     except NodeError as node:
         return _GridResult(rec, rec_i, TrajectoryStatus.NODE_ABORTED,
                            abort_time=node.time, abort_cells=node.cells)
@@ -614,16 +694,24 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
 
     Rows advance in lockstep, each with its own t, step, cells and status,
     under the same rules: the Dormand-Prince tableau, error norm, accept and
-    reject factors, first step, clamping to record times, MAX_STEPS and the
-    underflow check. Each stage makes one stacked VelocityField.velocities
-    call per cell tuple among the rows; a row whose accepted step leaves its
-    cell goes alone through _locate_event. Every operation is row by row
-    (elementwise, or a per-row product inside velocities), so a row's result
-    does not depend on the other rows of the block: any split of an ensemble
-    into blocks gives bit-identical results.
+    reject factors, first step, clamping to record times, MAX_STEPS, the
+    underflow check and the three crossing rules of the module docstring.
+    (1) A row whose linear prediction reaches an interior boundary within
+    its trial step aims the step CROSSING_TOL / 2 past it, or crosses in
+    place when already within CROSSING_TOL or when the aimed step would
+    fall below the time resolution. (2) An accepted step that escapes by
+    more than CROSSING_TOL is retried, shortened to the first contact of its
+    Hermite interpolant. (3) One that escapes by at most CROSSING_TOL is
+    accepted and snapped into the next cell. Crossing rows stay in the
+    block: each stage makes one stacked VelocityField.velocities call per
+    cell tuple among the rows, and no row is evaluated any other way. Every
+    operation is row by row (elementwise, or a per-row product inside
+    velocities), so a row's result does not depend on the other rows of the
+    block: any split of an ensemble into blocks gives bit-identical results.
     """
     beable_set = field.beable_set
     n_b = len(beable_set)
+    n_cells = beable_set.cell_counts
     lam0 = np.asarray(lam0, dtype=float)
     if lam0.ndim != 2 or lam0.shape[1] != n_b:
         raise InputError(f"starts must have shape (n, {n_b}), got {lam0.shape}")
@@ -638,7 +726,7 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
     # cells as tuples (velocities' cache keys), as floats (escape tests) and
     # as one row-major code per row (grouping)
     cell_arr = np.array(cells, dtype=float).reshape(n, n_b)
-    radix = np.cumprod((1,) + beable_set.cell_counts[:0:-1])[::-1]
+    radix = np.cumprod((1,) + n_cells[:0:-1])[::-1]
     code = cell_arr.astype(np.intp) @ radix
     rec_i = np.full(n, rec_start)
     status = [TrajectoryStatus.COMPLETED] * n
@@ -649,6 +737,12 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
         status[row] = TrajectoryStatus.NODE_ABORTED
         aborts[row] = (node.time, node.cells)
         running[row] = False
+
+    def cross(row, crossings, when):
+        y[row], cells[row] = _cross(y[row], cells[row], crossings, n_cells, when)
+        cell_arr[row] = cells[row]
+        code[row] = cell_arr[row].astype(np.intp) @ radix
+        fresh[row] = False
 
     def evaluate(rows, ts, ys):
         """f at (ts, ys) of the given rows, one velocities call per cell
@@ -678,6 +772,7 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
     f = np.zeros_like(y)
     fresh = np.zeros(n, dtype=bool)
     h = np.zeros(n)
+    retry = np.full(n, np.nan)
     if running.any():
         rows = np.flatnonzero(running)
         f[rows], fresh[rows] = evaluate(rows, t[rows], y[rows])
@@ -691,10 +786,12 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
         act = np.flatnonzero(running)
         ta = t[act]
         target = record_times[rec_i[act]]
-        clamped = (ta + h[act] - target) * sgn >= 0.0
-        h_try = np.where(clamped, target - ta, h[act])
+        h_try = np.where(np.isnan(retry[act]), h[act], retry[act])
+        retry[act] = np.nan
+        clamped = (ta + h_try - target) * sgn >= 0.0
+        h_try = np.where(clamped, target - ta, h_try)
         # a target numerically at t is recorded without a step
-        at = np.abs(h_try) < 1e-15 * np.maximum(1.0, np.abs(ta))
+        at = clamped & (np.abs(h_try) < 1e-15 * np.maximum(1.0, np.abs(ta)))
         if at.any():
             rows = act[at]
             rec[rows, rec_i[rows]] = y[rows]
@@ -703,12 +800,20 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
         stale = act[~at & ~fresh[act]]
         if stale.size:
             f[stale], fresh[stale] = evaluate(stale, t[stale], y[stale])
+        # rule 1 on the rows that step (stale f elsewhere is never used)
         go = ~at & running[act]
-        if not go.all():
-            act, ta, target, h_try, clamped = (
-                act[go], ta[go], target[go], h_try[go], clamped[go])
-            if not act.size:
-                continue
+        aim, now, boundary = _aim_rows(h_try, y[act], f[act], cell_arr[act], n_cells,
+                                       1e-14 * np.maximum(1.0, np.abs(ta)))
+        now &= go[:, None]
+        for i in np.flatnonzero(now.any(axis=1)).tolist():
+            cross(int(act[i]), [(ell, boundary[i, ell]) for ell in np.flatnonzero(now[i])], ta[i])
+        hit = aim < np.abs(h_try)
+        h_try = np.where(hit, sgn * aim, h_try)
+        clamped &= ~hit
+        go &= ~now.any(axis=1)
+        act, ta, target, h_try, clamped = (a[go] for a in (act, ta, target, h_try, clamped))
+        if not act.size:
+            continue
 
         # the Dormand-Prince stages; a row that meets a node leaves `live`
         ya = y[act]
@@ -739,121 +844,33 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
 
         accepted = live & ~rejected
         frozen = cell_arr[act]
-        escaped = accepted & ((y_new > frozen + 0.5) | (y_new < frozen - 0.5)).any(axis=1)
-        for pos in np.flatnonzero(escaped).tolist():
+        excess = np.maximum(y_new - (frozen + 0.5), (frozen - 0.5) - y_new).max(axis=1)
+        for pos in np.flatnonzero(accepted & (excess > CROSSING_TOL)).tolist():
+            retry[act[pos]] = _retry_step(ya[pos], y_new[pos], k[0][pos], k[6][pos], h_try[pos],
+                                          _escapes(y_new[pos], cells[act[pos]]))
+        moved = accepted & (excess <= CROSSING_TOL)
+        rows = act[moved]
+        t[rows] = np.where(clamped[moved], target[moved], ta[moved] + h_try[moved])
+        y[rows] = y_new[moved]
+        # the last stage is f(t + 1.0 * h, y_new) in the old cells, bit for bit
+        f[rows] = k[6][moved]
+        fresh[rows] = ~clamped[moved]
+        for pos in np.flatnonzero(moved & (excess > 0.0)).tolist():
             row = int(act[pos])
-            fresh[row] = False
-            try:
-                t[row], y[row], cells[row] = _locate_event(
-                    _frozen_rhs(field, coeff0, t0, cells[row]), ta[pos], ya[pos],
-                    h_try[pos], y_new[pos], k[0][pos], k[6][pos], cells[row],
-                    _escapes(y_new[pos], cells[row]), beable_set)
-            except NodeError as node:
-                abort(row, node)
-                continue
-            cell_arr[row] = cells[row]
-            code[row] = cell_arr[row].astype(np.intp) @ radix
+            cross(row, _escapes(y_new[pos], cells[row]), t[row])
 
-        moved = accepted & ~escaped
-        pos = np.flatnonzero(moved & clamped)
-        rows = act[pos]
-        t[rows] = target[pos]
-        y[rows] = y_new[pos]
-        fresh[rows] = False
-        rec[rows, rec_i[rows]] = y_new[pos]
+        rows = act[moved & clamped]
+        rec[rows, rec_i[rows]] = y[rows]
         rec_i[rows] += 1
         running[rows] = rec_i[rows] < n_rec
-
-        pos = np.flatnonzero(moved & ~clamped)
-        rows = act[pos]
-        t[rows] = ta[pos] + h_try[pos]
-        y[rows] = y_new[pos]
-        f[rows] = k[6][pos]
+        # only a step of the controller's own size adapts it
+        pos = np.flatnonzero(moved & ~clamped & (h_try == h[act]))
         with np.errstate(divide="ignore"):
             grow = np.minimum(5.0, np.maximum(0.2, 0.9 * enorm[pos] ** -0.2))
-        h[rows] = h_try[pos] * np.where(enorm[pos] == 0.0, 5.0, grow)
+        h[act[pos]] = h_try[pos] * np.where(enorm[pos] == 0.0, 5.0, grow)
 
     return [_GridResult(rec[row], int(rec_i[row]), status[row], *aborts[row])
             for row in range(n)]
-
-
-def _locate_event(rhs, t, y, h, y_new, f0, f1, cells, escapes, beable_set):
-    """Find the first cell-boundary crossing inside an accepted step.
-
-    Bisection on the step's cubic Hermite interpolant of lambda(t) seeds the
-    crossing time, a short Newton loop on genuine sub-steps polishes the
-    crossing component to within 1e-12 of its half-integer boundary, and a
-    plain step-size bisection covers pathological cases. Returns
-    (t_event, y_event, new_cells): the crossing components snapped exactly
-    onto their boundaries, and the cells they cross into. Crossing out of
-    the lambda domain raises NumericError.
-    """
-    theta, m, boundary = _hermite_first_contact(y, y_new, f0, f1, h, escapes)
-    h_est = max(theta, 1e-6) * h
-
-    def substep(h_sub):
-        out, _, _ = _dp54_step(rhs, t, y, h_sub, f0)
-        return out
-
-    y_est = substep(h_est)
-    ok = False
-    for _ in range(12):
-        miss = y_est[m] - boundary
-        if abs(miss) <= CROSSING_TOL:
-            ok = True
-            break
-        v_here = rhs(t + h_est, y_est)[m]
-        if v_here == 0.0 or not math.isfinite(v_here):
-            break
-        h_next = h_est - miss / v_here
-        if not (0.0 < h_next / h <= 1.0 + 1e-9):
-            break
-        h_est = h_next
-        y_est = substep(h_est)
-
-    stray = any(e[2] > 2.0 * CROSSING_TOL for e in _escapes(y_est, cells))
-    if not ok or stray:
-        # robust fallback: bisect the step size on the "any escape" predicate
-        lo, hi, y_hi = 0.0, h, y_new
-        for _ in range(200):
-            esc_hi = _escapes(y_hi, cells)
-            worst = max(e[2] for e in esc_hi) if esc_hi else 0.0
-            if esc_hi and worst <= CROSSING_TOL:
-                break
-            if abs(hi - lo) <= 1e-16 * max(1.0, abs(h)):
-                break
-            mid = 0.5 * (lo + hi)
-            y_mid = substep(mid)
-            if _escapes(y_mid, cells):
-                hi, y_hi = mid, y_mid
-            else:
-                lo = mid
-        h_est, y_est = hi, y_hi
-        esc_hi = _escapes(y_est, cells)
-        if esc_hi:
-            m, boundary, _ = max(esc_hi, key=lambda e: e[2])
-
-    # snap the crossing component exactly onto its boundary; components that
-    # are merely near (but not past) a boundary keep their cell and get
-    # handled by a later step
-    crossed = [(m, boundary)]
-    y_out = y_est.copy()
-    y_out[m] = boundary
-    for ell, b_val, _excess in _escapes(y_out, cells):
-        y_out[ell] = b_val
-        crossed.append((ell, b_val))
-    t_event = t + h_est
-    new_cells = list(cells)
-    for ell, boundary in crossed:
-        n_new = cells[ell] + (1 if boundary > cells[ell] else -1)
-        if not 0 <= n_new < beable_set[ell].n_cells:
-            raise NumericError(
-                f"lambda[{ell}] reached the domain boundary "
-                f"{boundary:g} at t = {t_event:.12g}; the boundary "
-                "current vanishes, so this indicates integrator escape"
-            )
-        new_cells[ell] = n_new
-    return t_event, y_out, tuple(new_cells)
 
 
 def _output_grid(t0: float, t_final: float, output_dt: float) -> np.ndarray:

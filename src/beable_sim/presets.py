@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 
+from .dynamics import DEFAULT_ATOL, DEFAULT_NODE_FLOOR, DEFAULT_RTOL, Symmetrization
 from .errors import InputError
 
 
@@ -133,10 +134,10 @@ def _pair_toy() -> dict:
 
 def _default_dynamics() -> dict:
     return {
-        "symmetrization": "symmetric_average",
-        "rtol": 1e-9,
-        "atol": 1e-11,
-        "node_floor": 1e-12,
+        "symmetrization": Symmetrization.SYMMETRIC_AVERAGE.value,
+        "rtol": DEFAULT_RTOL,
+        "atol": DEFAULT_ATOL,
+        "node_floor": DEFAULT_NODE_FLOOR,
     }
 
 

@@ -150,3 +150,23 @@ class TestConfigHash:
         a = parse_config(custom_config_dict())
         b = parse_config(custom_config_dict())
         assert config_hash(a) == config_hash(b)
+
+    def test_omitted_options_take_the_documented_defaults(self):
+        bare = custom_config_dict()
+        del bare["run"]
+        stated = dict(bare,
+                      dynamics={"symmetrization": "symmetric_average", "rtol": 1e-9,
+                                "atol": 1e-11, "node_floor": 1e-12},
+                      run={"t_final": 1.0, "output_dt": 0.05, "n_trajectories": 1000,
+                           "seed": 0, "times": []})
+        assert serialize_config(parse_config(bare)) == serialize_config(parse_config(stated))
+        assert config_hash(parse_config(bare)) == config_hash(parse_config(stated))
+        partial = parse_config(dict(bare, dynamics={"rtol": 1e-6}, run={"seed": 4}))
+        assert (partial.dynamics.rtol, partial.dynamics.atol) == (1e-6, 1e-11)
+        assert (partial.run.seed, partial.run.output_dt) == (4, 0.05)
+
+    def test_an_options_section_must_be_an_object(self):
+        raw = custom_config_dict()
+        raw["dynamics"] = [1e-9]
+        with pytest.raises(InputError, match="dynamics must be an object"):
+            parse_config(raw)

@@ -7,10 +7,16 @@ from hypothesis import example, given, settings, strategies as st
 import beable_sim as bs
 from beable_sim.config import build_model, parse_config
 from beable_sim.dynamics import (
+    CROSSING_TOL,
     Symmetrization,
+    _aim,
+    _aim_rows,
     _dp54_step,
+    _escapes,
     _integrate_block,
     _integrate_on_grid,
+    _output_grid,
+    _retry_step,
     _subset_weights,
 )
 from beable_sim.errors import InputError, NodeError, NumericError
@@ -436,6 +442,85 @@ class TestBlockIntegration:
             _integrate_block(rabi.field, rabi.state0, [1.2], [1.0], **BLOCK_TOL)
         with pytest.raises(InputError, match="outside"):
             _integrate_block(rabi.field, rabi.state0, [[1.2], [1.5]], [1.0], **BLOCK_TOL)
+
+
+TIGHT_TOL = dict(rtol=1e-12, atol=1e-14)
+
+
+class TestCellCrossings:
+    """Crossings located inside the step control, on both paths, against a
+    tight-tolerance run of the same start."""
+
+    def test_a_row_that_crosses_and_returns_within_one_step(self):
+        # this start reaches lambda_0 = 0.5, crosses and comes back within
+        # one controller step; a step left to run on in the old cell's field
+        # ends about 2e-2 off
+        cfg = parse_config({"preset": "two-qubit"})
+        m = build_model(cfg)
+        tuples, cum = _initial_cdf(m.state0, m.beable_set)
+        lam0 = _draw_lambda(tuples, cum, m.beable_set, np.random.default_rng((11, 172))).values
+        times = np.array(cfg.run.times)
+        want = _integrate_on_grid(m.field, m.state0, lam0, times, **TIGHT_TOL)
+        scalar = _integrate_on_grid(m.field, m.state0, lam0, times, **BLOCK_TOL)
+        (block,) = _integrate_block(m.field, m.state0, lam0[None], times, **BLOCK_TOL)
+        assert want.n_recorded == times.size
+        for res in (scalar, block):
+            assert res.n_recorded == times.size
+            np.testing.assert_allclose(res.lambdas, want.lambdas, rtol=0.0, atol=1e-5)
+
+    def test_a_boundary_closer_than_the_time_resolution(self):
+        # near t = 5.02 |v| reaches about 4.5e5, so the boundary lies closer
+        # than the resolution of t and the row crosses in place
+        cfg = parse_config({"preset": "pair-toy"})
+        m = build_model(cfg)
+        lam0 = bs.sample_initial(m.state0, m.beable_set, 58)
+        grid = _output_grid(m.state0.time, cfg.run.t_final, 0.05)
+        tol = dict(rtol=1e-9, atol=1e-11)
+        want = _integrate_on_grid(m.field, m.state0, lam0, grid, **TIGHT_TOL)
+        scalar = _integrate_on_grid(m.field, m.state0, lam0, grid, **tol)
+        (block,) = _integrate_block(m.field, m.state0, lam0.values[None], grid, **tol)
+        assert grid.size == want.n_recorded == 127
+        for res in (scalar, block):
+            assert res.status is bs.TrajectoryStatus.COMPLETED
+            assert res.n_recorded == grid.size
+            np.testing.assert_allclose(res.lambdas, want.lambdas, rtol=0.0, atol=1e-5)
+
+    def test_aiming_skips_domain_ends(self):
+        # one beable with two cells: lambda = 1.2 lies in the top cell
+        assert _aim(1.0, [1.2], [1.0], (1,), (2,), 1e-14) == (None, [])
+        assert _aim(1.0, [1.2], [-1.0], (1,), (2,), 1e-14) == \
+            ((0.5 - 1.2 - 0.5 * CROSSING_TOL) / -1.0, [])
+        # within CROSSING_TOL, or an aimed step below the resolution
+        assert _aim(1.0, [0.5 + 0.9 * CROSSING_TOL], [-1.0], (1,), (2,), 1e-14) == \
+            (None, [(0, 0.5)])
+        assert _aim(1.0, [0.5 + 1e-6], [-1e9], (1,), (2,), 1e-14) == (None, [(0, 0.5)])
+
+    def test_an_escape_is_retried_up_to_the_interpolant_contact(self):
+        # a straight step from 0.2 to 0.8 over h = 0.5 meets 0.5 half way
+        y0, y1, v = np.array([0.2]), np.array([0.8]), np.array([1.2])
+        retry = _retry_step(y0, y1, v, v, 0.5, _escapes(y1, (0,)))
+        assert retry == pytest.approx(0.25, rel=0.0, abs=1e-15)
+        # an escape of at most CROSSING_TOL is accepted and snapped instead
+        y1 = np.array([0.5 + 0.5 * CROSSING_TOL])
+        assert _retry_step(y0, y1, v, v, 0.5, _escapes(y1, (0,))) is None
+
+    def test_rule_1_has_one_arithmetic_on_both_paths(self, rng):
+        n_cells = (2, 3, 1, 4)
+        for _ in range(300):
+            cells = tuple(int(rng.integers(k)) for k in n_cells)
+            y = np.array(cells) + rng.uniform(-0.5, 0.5, size=4)
+            near = rng.random(4) < 0.3       # some components hug a boundary
+            y[near] = np.array(cells)[near] + rng.choice([-0.5, 0.5], near.sum()) \
+                * (1.0 - rng.uniform(0.0, 2.0 * CROSSING_TOL, near.sum()))
+            f = rng.normal(size=4) * 10.0 ** rng.integers(-3, 8, size=4)
+            h = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, 0.0)
+            res = 10.0 ** rng.uniform(-16.0, -12.0)
+            h_aim, now = _aim(h, y.tolist(), f.tolist(), cells, n_cells, res)
+            aim, now_rows, boundary = _aim_rows(
+                np.array([h]), y[None], f[None], np.array(cells, dtype=float)[None], n_cells,
+                np.array([res]))
+            assert now == [(ell, boundary[0, ell]) for ell in np.flatnonzero(now_rows[0])]
+            assert aim[0] == (np.inf if h_aim is None else abs(h_aim))
 
 
 # Dormand-Prince 5(4), written out independently of the production table
