@@ -3,7 +3,9 @@
 Each check measures one invariant of the configured model and compares it
 against a fixed threshold; --strict tightens the thresholds that have
 numerical headroom. Checks that need a single beable (or a two-cell one)
-are skipped, not failed, on models where they do not apply.
+are skipped, not failed, on models where they do not apply. Reversibility,
+level-set agreement and level conservation all read one pass over five
+seeded trajectories, each integrated forward and back.
 """
 
 from __future__ import annotations
@@ -105,61 +107,55 @@ def _check_continuity(model: BuiltModel, strict: bool, n_points: int = 100) -> C
                    f"{n_points} random interior points, h=1e-5")
 
 
-def _check_reversibility(model: BuiltModel, strict: bool, n_traj: int = 5) -> CheckResult:
+def _aborted(names, strict, detail) -> list:
+    return [CheckResult(name, FAIL, float("nan"), THRESHOLDS[name][1 if strict else 0], detail)
+            for name in names]
+
+
+def _check_trajectories(model: BuiltModel, strict: bool, n_traj: int = 5) -> list:
+    """Reversibility on every model, and level-set agreement and level
+    conservation on single-beable ones, from one pass over n_traj seeded
+    starts. Each start runs forward, recording 41 times when L = 1 and only
+    t_final otherwise, then back to the start from its last sample. A node
+    abort in either direction fails every check of the pass."""
     cfg = model.config
     t_final = cfg.run.t_final
-    worst = 0.0
+    single = len(model.beable_set) == 1
+    names = ("reversibility",) + (("levelset_agreement", "level_conservation") if single else ())
+    times = np.linspace(0.0, t_final, 41) if single else np.array([t_final])
+    state_t = evolve(model.state0, model.propagator, t_final)
+    b = model.beable_set[0]
+    worst = dict.fromkeys(names, 0.0)
     for i in range(n_traj):
-        lam0 = sample_initial(model.state0, model.beable_set, (cfg.run.seed, 201, i))
-        fwd = _integrate_on_grid(model.field, model.state0, lam0,
-                                 np.array([t_final]), cfg.dynamics.rtol,
-                                 cfg.dynamics.atol)
+        lam0 = sample_initial(model.state0, model.beable_set, (cfg.run.seed, 201, i)).values
+        fwd = _integrate_on_grid(model.field, model.state0, lam0, times,
+                                 cfg.dynamics.rtol, cfg.dynamics.atol)
         if fwd.status is not TrajectoryStatus.COMPLETED:
-            return CheckResult("reversibility", FAIL, float("nan"),
-                               THRESHOLDS["reversibility"][1 if strict else 0],
-                               f"forward trajectory {i} aborted at a node")
-        state_t = evolve(model.state0, model.propagator, t_final)
-        back = _integrate_on_grid(model.field, state_t, fwd.lambdas[0],
+            return _aborted(names, strict, f"forward trajectory {i} aborted at a node")
+        back = _integrate_on_grid(model.field, state_t, fwd.final_lambdas,
                                   np.array([model.state0.time]),
                                   cfg.dynamics.rtol, cfg.dynamics.atol)
         if back.status is not TrajectoryStatus.COMPLETED:
-            return CheckResult("reversibility", FAIL, float("nan"),
-                               THRESHOLDS["reversibility"][1 if strict else 0],
-                               f"backward trajectory {i} aborted at a node")
-        worst = max(worst, float(np.max(np.abs(back.lambdas[0] - lam0.values))))
-    return _result("reversibility", worst, strict,
-                   f"{n_traj} forward/backward round trips to t={t_final:g}")
-
-
-def _check_single_beable(model: BuiltModel, strict: bool, n_traj: int = 5) -> list:
-    """Level-set agreement and level conservation, both measured on one pass
-    over the same seeded trajectories."""
-    cfg = model.config
-    b = model.beable_set[0]
-    times = np.linspace(0.0, cfg.run.t_final, 41)
-    worst_set = worst_level = 0.0
-    for i in range(n_traj):
-        lam0 = sample_initial(model.state0, model.beable_set, (cfg.run.seed, 301, i))
-        res = _integrate_on_grid(model.field, model.state0, lam0, times,
-                                 cfg.dynamics.rtol, cfg.dynamics.atol)
-        if res.status is not TrajectoryStatus.COMPLETED:
-            return [CheckResult(name, FAIL, float("nan"), THRESHOLDS[name][1 if strict else 0],
-                                f"trajectory {i} aborted at a node")
-                    for name in ("levelset_agreement", "level_conservation")]
-        level0 = level_expectation(model.state0, b, float(lam0.values[0]))
+            return _aborted(names, strict, f"backward trajectory {i} aborted at a node")
+        worst["reversibility"] = max(worst["reversibility"],
+                                     float(np.max(np.abs(back.lambdas[0] - lam0))))
+        if not single:
+            continue
+        level0 = level_expectation(model.state0, b, float(lam0[0]))
         for k, t in enumerate(times):
-            oracle = single_beable_levelset(model.state0, b, float(lam0.values[0]),
+            oracle = single_beable_levelset(model.state0, b, float(lam0[0]),
                                             float(t), model.propagator)
-            worst_set = max(worst_set, abs(res.lambdas[k, 0] - oracle))
+            worst["levelset_agreement"] = max(worst["levelset_agreement"],
+                                              abs(fwd.lambdas[k, 0] - oracle))
             state = evolve(model.state0, model.propagator, float(t))
-            level = level_expectation(state, b, float(res.lambdas[k, 0]))
-            worst_level = max(worst_level, abs(level - level0))
-    return [
-        _result("levelset_agreement", worst_set, strict,
-                f"{n_traj} trajectories vs the level-set solution at 41 times"),
-        _result("level_conservation", worst_level, strict,
-                "drift of the conserved level value along trajectories"),
-    ]
+            level = level_expectation(state, b, float(fwd.lambdas[k, 0]))
+            worst["level_conservation"] = max(worst["level_conservation"], abs(level - level0))
+    details = {
+        "reversibility": f"{n_traj} forward/backward round trips to t={t_final:g}",
+        "levelset_agreement": f"{n_traj} trajectories vs the level-set solution at 41 times",
+        "level_conservation": "drift of the conserved level value along trajectories",
+    }
+    return [_result(name, worst[name], strict, details[name]) for name in names]
 
 
 def _check_average_consistency(model: BuiltModel, strict: bool,
@@ -190,10 +186,9 @@ def run_checks(model: BuiltModel, strict: bool = False) -> list:
     results = [
         _check_normalization(model, strict),
         _check_continuity(model, strict),
-        _check_reversibility(model, strict),
+        *_check_trajectories(model, strict),
     ]
     if len(model.beable_set) == 1:
-        results.extend(_check_single_beable(model, strict))
         if model.beable_set[0].n_cells == 2:
             results.append(_check_average_consistency(model, strict))
         else:

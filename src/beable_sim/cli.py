@@ -205,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     ens.add_argument("--times", default=None,
                      help="comma-separated probe times (default: run.times)")
     ens.add_argument("--workers", type=int, default=None,
-                     help="worker processes (default: BEABLE_SIM_THREADS or all cores)")
+                     help="worker processes (default: BEABLE_SIM_THREADS or the CPUs "
+                          "available to the process)")
     ens.add_argument("--out", required=True, help="output directory")
     ens.set_defaults(func=cmd_ensemble)
 

@@ -425,12 +425,16 @@ def _dp54_step(rhs, t, y, h, k1):
 class Trajectory:
     """Recorded samples of one integrated lambda trajectory.
 
-    xis is derived from lambdas via each beable's eigenvalue map and never
-    stored independently of it.
+    cells (n_rec, L) holds the cells the integrator held at each sample,
+    after any crossing at that step, and xis the beables' eigenvalues of
+    those cells. They can differ from cell_index of the recorded lambdas,
+    which rounds halves up, only at a sample exactly on a boundary: one
+    snapped down onto n - 1/2 is already in cell n - 1.
     """
 
     times: np.ndarray
     lambdas: np.ndarray
+    cells: np.ndarray
     xis: np.ndarray
     status: TrajectoryStatus
     seed: int | None = None
@@ -442,15 +446,16 @@ class Trajectory:
         return self.lambdas[-1]
 
 
-class _GridResult:
-    __slots__ = ("lambdas", "n_recorded", "status", "abort_time", "abort_cells")
-
-    def __init__(self, lambdas, n_recorded, status, abort_time=None, abort_cells=None):
-        self.lambdas = lambdas
-        self.n_recorded = n_recorded
-        self.status = status
-        self.abort_time = abort_time
-        self.abort_cells = abort_cells
+def _record(beable_set: BeableSet, record_times, lambdas, cells, n_recorded: int,
+            status: TrajectoryStatus, abort_time=None, abort_cells=None) -> Trajectory:
+    """The Trajectory of the first n_recorded samples of record buffers."""
+    cells = cells[:n_recorded]
+    xis = np.empty(cells.shape)
+    for ell, b in enumerate(beable_set):
+        xis[:, ell] = b.eigenvalues[cells[:, ell]]
+    return Trajectory(times=record_times[:n_recorded], lambdas=lambdas[:n_recorded],
+                      cells=cells, xis=xis, status=status,
+                      abort_time=abort_time, abort_cells=abort_cells)
 
 
 def _escapes(y, cells):
@@ -567,24 +572,27 @@ def _first_step(f, span: float, sgn: float):
 
 
 def _start(beable_set: BeableSet, t0: float, lam0: np.ndarray, record_times):
-    """Shared set-up of both integrators for starts lam0 (n, L): the record
-    buffer (n, n_rec, L) with the leading time recorded if it equals t0, the
-    number recorded, the direction and the start cells."""
+    """Shared set-up of both integrators for starts lam0 (n, L): the lambda
+    and cell record buffers (n, n_rec, L) with the leading time recorded if
+    it equals t0, the number recorded, the direction and the start cells
+    (n, L)."""
     record_times = np.asarray(record_times, dtype=float)
     n_rec = record_times.size
+    cells = np.array([[cell_index(b, row[ell]) for ell, b in enumerate(beable_set)]
+                      for row in lam0], dtype=np.intp).reshape(lam0.shape)
     rec = np.empty((lam0.shape[0], n_rec, lam0.shape[1]))
+    rec_cells = np.empty(rec.shape, dtype=np.intp)
     rec_i = 0
     if n_rec and record_times[0] == t0:
         rec[:, 0] = lam0
+        rec_cells[:, 0] = cells
         rec_i = 1
     sgn = -1.0 if n_rec and record_times[-1] < t0 else 1.0
-    cells = [tuple(cell_index(b, row[ell]) for ell, b in enumerate(beable_set))
-             for row in lam0]
-    return record_times, rec, rec_i, sgn, cells
+    return record_times, rec, rec_cells, rec_i, sgn, cells
 
 
 def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
-                       record_times, rtol: float, atol: float) -> _GridResult:
+                       record_times, rtol: float, atol: float) -> Trajectory:
     """Drive d lambda/dt = v through the cells, recording at record_times.
 
     record_times must be monotone away from state0.time (either direction)
@@ -600,11 +608,13 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
     n_b = len(beable_set)
     coeff0 = field.state_coefficients(state0)
     m_e = -1j * field._energies
-    record_times, rec, rec_i, sgn, (cells,) = _start(beable_set, t0, y[None], record_times)
-    rec = rec[0]
+    record_times, rec, rec_cells, rec_i, sgn, cells = _start(beable_set, t0, y[None],
+                                                             record_times)
+    rec, rec_cells, cells = rec[0], rec_cells[0], tuple(cells[0].tolist())
     n_rec = record_times.size
     if rec_i >= n_rec:
-        return _GridResult(rec, rec_i, TrajectoryStatus.COMPLETED)
+        return _record(beable_set, record_times, rec, rec_cells, rec_i,
+                       TrajectoryStatus.COMPLETED)
 
     def rhs(t, lam):
         # the state advances exactly, by phases; the cells are the current ones
@@ -629,7 +639,7 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
                 h_try = target - t
                 if abs(h_try) < 1e-15 * max(1.0, abs(t)):
                     # target is numerically at t; record and move on
-                    rec[rec_i] = y
+                    rec[rec_i], rec_cells[rec_i] = y, cells
                     rec_i += 1
                     continue
             if f_now is None:
@@ -666,15 +676,15 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
             # for bit; a clamped t need not equal t + h_try
             f_now = None if clamped or esc else k_last
             if clamped:
-                rec[rec_i] = y
+                rec[rec_i], rec_cells[rec_i] = y, cells
                 rec_i += 1
             elif h_try == h:
                 # only a step of the controller's own size adapts it
                 h = h_try * (5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2)))
     except NodeError as node:
-        return _GridResult(rec, rec_i, TrajectoryStatus.NODE_ABORTED,
-                           abort_time=node.time, abort_cells=node.cells)
-    return _GridResult(rec, rec_i, TrajectoryStatus.COMPLETED)
+        return _record(beable_set, record_times, rec, rec_cells, rec_i,
+                       TrajectoryStatus.NODE_ABORTED, node.time, node.cells)
+    return _record(beable_set, record_times, rec, rec_cells, rec_i, TrajectoryStatus.COMPLETED)
 
 
 def _tableau_sum(row, k):
@@ -690,7 +700,7 @@ def _tableau_sum(row, k):
 def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
                      record_times, rtol: float, atol: float) -> list:
     """_integrate_on_grid for every row of lam0 (n, L) at once; returns one
-    _GridResult per row.
+    Trajectory per row.
 
     Rows advance in lockstep, each with its own t, step, cells and status,
     under the same rules: the Dormand-Prince tableau, error norm, accept and
@@ -721,13 +731,12 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
     t0 = state0.time
     coeff0 = field.state_coefficients(state0)
     m_e = -1j * field._energies
-    record_times, rec, rec_start, sgn, cells = _start(beable_set, t0, y, record_times)
+    record_times, rec, rec_cells, rec_start, sgn, cells = _start(beable_set, t0, y,
+                                                                 record_times)
     n_rec = record_times.size
-    # cells as tuples (velocities' cache keys), as floats (escape tests) and
-    # as one row-major code per row (grouping)
-    cell_arr = np.array(cells, dtype=float).reshape(n, n_b)
+    # one row-major code per row's cells, for grouping
     radix = np.cumprod((1,) + n_cells[:0:-1])[::-1]
-    code = cell_arr.astype(np.intp) @ radix
+    code = cells @ radix
     rec_i = np.full(n, rec_start)
     status = [TrajectoryStatus.COMPLETED] * n
     aborts = [(None, None)] * n
@@ -738,10 +747,11 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
         aborts[row] = (node.time, node.cells)
         running[row] = False
 
+    # rows go to _escapes and _cross as lists: they loop over components,
+    # and numpy scalars make that loop several times slower
     def cross(row, crossings, when):
-        y[row], cells[row] = _cross(y[row], cells[row], crossings, n_cells, when)
-        cell_arr[row] = cells[row]
-        code[row] = cell_arr[row].astype(np.intp) @ radix
+        y[row], cells[row] = _cross(y[row], cells[row].tolist(), crossings, n_cells, when)
+        code[row] = cells[row] @ radix
         fresh[row] = False
 
     def evaluate(rows, ts, ys):
@@ -757,7 +767,7 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
         order = np.argsort(codes, kind="stable")
         cuts = np.flatnonzero(np.diff(codes[order])) + 1
         for pos in np.split(order, cuts):
-            tup = cells[rows[pos[0]]]
+            tup = tuple(cells[rows[pos[0]]].tolist())
             while pos.size:
                 try:
                     f[pos] = field.velocities(coeff[pos], ys[pos], tup, ts[pos])
@@ -795,6 +805,7 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
         if at.any():
             rows = act[at]
             rec[rows, rec_i[rows]] = y[rows]
+            rec_cells[rows, rec_i[rows]] = cells[rows]
             rec_i[rows] += 1
             running[rows] = rec_i[rows] < n_rec
         stale = act[~at & ~fresh[act]]
@@ -802,7 +813,7 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
             f[stale], fresh[stale] = evaluate(stale, t[stale], y[stale])
         # rule 1 on the rows that step (stale f elsewhere is never used)
         go = ~at & running[act]
-        aim, now, boundary = _aim_rows(h_try, y[act], f[act], cell_arr[act], n_cells,
+        aim, now, boundary = _aim_rows(h_try, y[act], f[act], cells[act], n_cells,
                                        1e-14 * np.maximum(1.0, np.abs(ta)))
         now &= go[:, None]
         for i in np.flatnonzero(now.any(axis=1)).tolist():
@@ -843,11 +854,11 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
             h[act[rejected]] = h_new
 
         accepted = live & ~rejected
-        frozen = cell_arr[act]
+        frozen = cells[act]
         excess = np.maximum(y_new - (frozen + 0.5), (frozen - 0.5) - y_new).max(axis=1)
         for pos in np.flatnonzero(accepted & (excess > CROSSING_TOL)).tolist():
             retry[act[pos]] = _retry_step(ya[pos], y_new[pos], k[0][pos], k[6][pos], h_try[pos],
-                                          _escapes(y_new[pos], cells[act[pos]]))
+                                          _escapes(y_new[pos], cells[act[pos]].tolist()))
         moved = accepted & (excess <= CROSSING_TOL)
         rows = act[moved]
         t[rows] = np.where(clamped[moved], target[moved], ta[moved] + h_try[moved])
@@ -857,10 +868,11 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
         fresh[rows] = ~clamped[moved]
         for pos in np.flatnonzero(moved & (excess > 0.0)).tolist():
             row = int(act[pos])
-            cross(row, _escapes(y_new[pos], cells[row]), t[row])
+            cross(row, _escapes(y_new[pos], cells[row].tolist()), t[row])
 
         rows = act[moved & clamped]
         rec[rows, rec_i[rows]] = y[rows]
+        rec_cells[rows, rec_i[rows]] = cells[rows]
         rec_i[rows] += 1
         running[rows] = rec_i[rows] < n_rec
         # only a step of the controller's own size adapts it
@@ -869,7 +881,8 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
             grow = np.minimum(5.0, np.maximum(0.2, 0.9 * enorm[pos] ** -0.2))
         h[act[pos]] = h_try[pos] * np.where(enorm[pos] == 0.0, 5.0, grow)
 
-    return [_GridResult(rec[row], int(rec_i[row]), status[row], *aborts[row])
+    return [_record(beable_set, record_times, rec[row], rec_cells[row], int(rec_i[row]),
+                    status[row], *aborts[row])
             for row in range(n)]
 
 
@@ -900,11 +913,6 @@ def integrate_trajectory(field: VelocityField, state0: QuantumState, lambda0,
     recorded and status node_aborted rather than being regularized.
     """
     grid = _output_grid(state0.time, float(t_final), float(output_dt))
-    res = _integrate_on_grid(field, state0, lambda0, grid, rtol, atol)
-    times = grid[:res.n_recorded]
-    lambdas = res.lambdas[:res.n_recorded]
-    xis = np.empty_like(lambdas)
-    for ell, b in enumerate(field.beable_set):
-        xis[:, ell] = [b.eigenvalues[cell_index(b, lam)] for lam in lambdas[:, ell]]
-    return Trajectory(times=times, lambdas=lambdas, xis=xis, status=res.status,
-                      seed=seed, abort_time=res.abort_time, abort_cells=res.abort_cells)
+    traj = _integrate_on_grid(field, state0, lambda0, grid, rtol, atol)
+    traj.seed = seed
+    return traj

@@ -51,18 +51,12 @@ def _initial_cdf(state: QuantumState, beable_set: BeableSet):
     return tuples, np.cumsum(probs / probs.sum())
 
 
-def _draw_lambda(tuples: list, cum: np.ndarray, beable_set: BeableSet,
-                 rng: np.random.Generator) -> LambdaConfig:
+def _draw_lambda(tuples: list, cum: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One raw lambda vector: a cell tuple from ``cum``, then uniform offsets."""
     idx = int(np.searchsorted(cum, rng.random(), side="right"))
     idx = min(idx, len(tuples) - 1)
     cells = np.array(tuples[idx], dtype=float)
-    offsets = rng.uniform(-0.5, 0.5, size=len(beable_set))
-    return LambdaConfig(cells + offsets, beable_set)
-
-
-def _sample_lambda(state: QuantumState, beable_set: BeableSet,
-                   rng: np.random.Generator) -> LambdaConfig:
-    return _draw_lambda(*_initial_cdf(state, beable_set), beable_set, rng)
+    return cells + rng.uniform(-0.5, 0.5, size=cells.size)
 
 
 def sample_initial(state: QuantumState, beable_set: BeableSet,
@@ -73,7 +67,8 @@ def sample_initial(state: QuantumState, beable_set: BeableSet,
     all tuples, so beable correlations are respected), then each lambda is
     uniform on its cell [n - 1/2, n + 1/2). Deterministic for a given seed.
     """
-    return _sample_lambda(state, beable_set, np.random.default_rng(rng_seed))
+    return LambdaConfig(_draw_lambda(*_initial_cdf(state, beable_set),
+                                     np.random.default_rng(rng_seed)), beable_set)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +223,7 @@ class EnsembleReport:
 
 
 def _resolve_workers(workers: int | None) -> int:
+    """--workers, else BEABLE_SIM_THREADS, else the CPUs this process may run on."""
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get(ENV_THREADS)
@@ -236,6 +232,8 @@ def _resolve_workers(workers: int | None) -> int:
             return max(1, int(env))
         except ValueError as exc:
             raise InputError(f"{ENV_THREADS} must be an integer, got {env!r}") from exc
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -248,26 +246,18 @@ def _run_chunk(field: VelocityField, state0: QuantumState, times: np.ndarray,
     distribution ``cum`` of state0, computed once per ensemble, with its own
     stream (seed, index). The whole block is integrated in lockstep by
     _integrate_block, whose rows do not depend on each other, so the counts
-    do not depend on how an ensemble is split into blocks."""
-    n_times = times.size
-    tuple_index = {c: i for i, c in enumerate(tuples)}
-    counts = np.zeros((n_times, len(tuples)), dtype=np.int64)
-    starts = np.array([
-        _draw_lambda(tuples, cum, field.beable_set, np.random.default_rng((seed, i))).values
-        for i in indices
-    ]).reshape(len(indices), len(field.beable_set))
-    aborted = 0
-    for res in _integrate_block(field, state0, starts, times, rtol, atol):
-        if res.status is not TrajectoryStatus.COMPLETED:
-            aborted += 1
-            continue
-        for k in range(n_times):
-            cells = tuple(
-                cell_index(b, res.lambdas[k][ell])
-                for ell, b in enumerate(field.beable_set)
-            )
-            counts[k, tuple_index[cells]] += 1
-    return counts, aborted
+    do not depend on how an ensemble is split into blocks. The histogram
+    counts the cells the integrator recorded for each completed row."""
+    n_b = len(field.beable_set)
+    starts = np.array([_draw_lambda(tuples, cum, np.random.default_rng((seed, i)))
+                       for i in indices]).reshape(len(indices), n_b)
+    done = [traj.cells for traj in _integrate_block(field, state0, starts, times, rtol, atol)
+            if traj.status is TrajectoryStatus.COMPLETED]
+    cells = np.array(done, dtype=np.intp).reshape(-1, times.size, n_b)
+    flat = np.ravel_multi_index(cells.T, field.beable_set.cell_counts)   # (n_times, n_done)
+    counts = np.zeros((times.size, len(tuples)), dtype=np.int64)
+    np.add.at(counts, (np.arange(times.size)[:, None], flat), 1)
+    return counts, len(indices) - len(done)
 
 
 # The ensemble's fixed inputs, (field, state0, times, tuples, cum),
@@ -319,7 +309,7 @@ def ensemble_equivariance(field: VelocityField, state0: QuantumState, n: int,
     else:
         chunk = math.ceil(n / n_workers)
         blocks = [range(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        with ProcessPoolExecutor(max_workers=n_workers, initializer=_init_worker,
+        with ProcessPoolExecutor(max_workers=len(blocks), initializer=_init_worker,
                                  initargs=inputs) as pool:
             futures = [
                 pool.submit(_run_worker_chunk, seed, blk, rtol, atol)

@@ -168,6 +168,43 @@ class TestVerify:
         cfg = write_config(tmp_path, {"preset": "two-state-rabi"})
         assert main(["verify", "--config", cfg]) == 3
 
+    def test_a_node_abort_fails_every_trajectory_check(self, tmp_path, capsys):
+        # at node_floor 0.6 the seeded rabi starts abort on the way forward:
+        # cell 1 empties as cos^2(t / 2) and cell 0 fills from zero
+        raw = {"preset": "two-state-rabi",
+               "dynamics": {"rtol": 1e-9, "atol": 1e-11, "node_floor": 0.6}}
+        cfg = write_config(tmp_path, raw)
+        assert main(["verify", "--config", cfg, "--json"]) == 3
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        for name in ("reversibility", "levelset_agreement", "level_conservation"):
+            assert checks[name]["status"] == "fail"
+            assert checks[name]["detail"] == "forward trajectory 0 aborted at a node"
+        assert checks["continuity_residual"]["status"] == "pass"
+
+    def test_a_backward_node_abort_is_named(self, tmp_path, capsys, monkeypatch):
+        # the return leg starts at t_final; a floor above every probability
+        # aborts it at its first velocity
+        import beable_sim.checks as checks_module
+        from beable_sim.dynamics import VelocityField
+
+        integrate = checks_module._integrate_on_grid
+
+        def floored_on_return(field, state, lam0, times, rtol, atol):
+            if state.time > 0.0:
+                field = VelocityField(field.beable_set, field.propagator, node_floor=2.0)
+            return integrate(field, state, lam0, times, rtol, atol)
+
+        monkeypatch.setattr(checks_module, "_integrate_on_grid", floored_on_return)
+        for preset in ("two-state-rabi", "two-qubit"):
+            cfg = write_config(tmp_path, {"preset": preset})
+            assert main(["verify", "--config", cfg, "--json"]) == 3
+            failed = {c["name"]: c["detail"] for c in json.loads(capsys.readouterr().out)["checks"]
+                      if c["status"] == "fail"}
+            want = ["reversibility"]
+            if preset == "two-state-rabi":
+                want += ["levelset_agreement", "level_conservation"]
+            assert failed == {name: "backward trajectory 0 aborted at a node" for name in want}
+
     def test_strict_mode_passes_for_presets(self, tmp_path):
         cfg = write_config(tmp_path, {"preset": "two-state-rabi"})
         assert main(["verify", "--config", cfg, "--strict"]) == 0

@@ -301,20 +301,22 @@ def seeded_starts(field, state0, n, seed=2024):
     """n starts drawn as an ensemble draws them, one stream per index."""
     tuples, cum = _initial_cdf(state0, field.beable_set)
     return np.array([
-        _draw_lambda(tuples, cum, field.beable_set, np.random.default_rng((seed, i))).values
+        _draw_lambda(tuples, cum, np.random.default_rng((seed, i)))
         for i in range(n)])
 
 
 def recorded_cells(field, res):
     return [tuple(bs.cell_index(b, lam[ell]) for ell, b in enumerate(field.beable_set))
-            for lam in res.lambdas[:res.n_recorded]]
+            for lam in res.lambdas]
 
 
 def assert_rows_identical(got, want):
     for a, b in zip(got, want, strict=True):
-        assert (a.status, a.n_recorded, a.abort_time, a.abort_cells) == \
-            (b.status, b.n_recorded, b.abort_time, b.abort_cells)
-        assert np.array_equal(a.lambdas[:a.n_recorded], b.lambdas[:b.n_recorded])
+        assert (a.status, a.abort_time, a.abort_cells) == (b.status, b.abort_time, b.abort_cells)
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.lambdas, b.lambdas)
+        assert np.array_equal(a.cells, b.cells)
+        assert np.array_equal(a.xis, b.xis)
 
 
 class TestBlockIntegration:
@@ -336,11 +338,15 @@ class TestBlockIntegration:
             for i, (a, b) in enumerate(zip(got, want)):
                 what = f"{name} start {i}"
                 assert a.status is b.status, what
-                assert a.n_recorded == b.n_recorded, what
+                assert np.array_equal(a.times, b.times), what
                 assert a.abort_cells == b.abort_cells, what
-                np.testing.assert_allclose(a.lambdas[:a.n_recorded], b.lambdas[:b.n_recorded],
+                np.testing.assert_allclose(a.lambdas, b.lambdas,
                                            rtol=0.0, atol=1e-12, err_msg=what)
                 assert recorded_cells(field, a) == recorded_cells(field, b), what
+                # each path records the cells it held, the cells of its lambdas
+                for res in (a, b):
+                    assert res.cells.dtype.kind == "i", what
+                    assert list(map(tuple, res.cells.tolist())) == recorded_cells(field, res), what
 
     def test_rows_do_not_depend_on_the_block(self, rng):
         for name, field, state0, times in block_models(rng):
@@ -394,16 +400,15 @@ class TestBlockIntegration:
         statuses = [r.status for r in got]
         assert statuses == [bs.TrajectoryStatus.NODE_ABORTED] + \
             [bs.TrajectoryStatus.COMPLETED] * 3 + [bs.TrajectoryStatus.NODE_ABORTED] * 2
-        assert got[0].abort_time == 0.0 and got[0].n_recorded == 1
+        assert got[0].abort_time == 0.0 and got[0].times.size == 1
         for a, b in zip(got, want):
-            assert (a.status, a.n_recorded, a.abort_cells) == \
-                (b.status, b.n_recorded, b.abort_cells)
+            assert (a.status, a.times.size, a.abort_cells) == \
+                (b.status, b.times.size, b.abort_cells)
             if b.abort_time is not None:
                 # the abort is seen at a stage time; the two paths round the
                 # error estimate differently, so step sizes agree to ~1e-9
                 assert a.abort_time == pytest.approx(b.abort_time, rel=0.0, abs=1e-9)
-            np.testing.assert_allclose(a.lambdas[:a.n_recorded], b.lambdas[:b.n_recorded],
-                                       rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(a.lambdas, b.lambdas, rtol=0.0, atol=1e-12)
         # the aborts come at the first stage after cos^2(t / 2) reaches the floor
         t_node = 2.0 * np.arccos(np.sqrt(0.2))
         for r in got[4:]:
@@ -458,14 +463,14 @@ class TestCellCrossings:
         cfg = parse_config({"preset": "two-qubit"})
         m = build_model(cfg)
         tuples, cum = _initial_cdf(m.state0, m.beable_set)
-        lam0 = _draw_lambda(tuples, cum, m.beable_set, np.random.default_rng((11, 172))).values
+        lam0 = _draw_lambda(tuples, cum, np.random.default_rng((11, 172)))
         times = np.array(cfg.run.times)
         want = _integrate_on_grid(m.field, m.state0, lam0, times, **TIGHT_TOL)
         scalar = _integrate_on_grid(m.field, m.state0, lam0, times, **BLOCK_TOL)
         (block,) = _integrate_block(m.field, m.state0, lam0[None], times, **BLOCK_TOL)
-        assert want.n_recorded == times.size
+        assert want.times.size == times.size
         for res in (scalar, block):
-            assert res.n_recorded == times.size
+            assert res.times.size == times.size
             np.testing.assert_allclose(res.lambdas, want.lambdas, rtol=0.0, atol=1e-5)
 
     def test_a_boundary_closer_than_the_time_resolution(self):
@@ -479,10 +484,10 @@ class TestCellCrossings:
         want = _integrate_on_grid(m.field, m.state0, lam0, grid, **TIGHT_TOL)
         scalar = _integrate_on_grid(m.field, m.state0, lam0, grid, **tol)
         (block,) = _integrate_block(m.field, m.state0, lam0.values[None], grid, **tol)
-        assert grid.size == want.n_recorded == 127
+        assert grid.size == want.times.size == 127
         for res in (scalar, block):
             assert res.status is bs.TrajectoryStatus.COMPLETED
-            assert res.n_recorded == grid.size
+            assert res.times.size == grid.size
             np.testing.assert_allclose(res.lambdas, want.lambdas, rtol=0.0, atol=1e-5)
 
     def test_aiming_skips_domain_ends(self):

@@ -1,10 +1,15 @@
+import os
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
 import beable_sim as bs
+import beable_sim.verification as verification
 from beable_sim.config import build_model, parse_config
+from beable_sim.dynamics import _integrate_block
 from beable_sim.errors import InputError
-from beable_sim.verification import _draw_lambda, _initial_cdf, _resolve_workers, _sample_lambda
+from beable_sim.verification import _draw_lambda, _initial_cdf, _resolve_workers
 
 from conftest import SZ, random_hermitian, random_state
 
@@ -67,10 +72,10 @@ class TestSharedInitialDistribution:
         seen = set()
         for seed in (0, 17):
             for i in range(100):
-                shared = _draw_lambda(*initial, m.beable_set, np.random.default_rng((seed, i)))
-                own = _sample_lambda(state, m.beable_set, np.random.default_rng((seed, i)))
+                shared = _draw_lambda(*initial, np.random.default_rng((seed, i)))
+                own = bs.sample_initial(state, m.beable_set, (seed, i))
                 ref = reference_draw(state, m.beable_set, np.random.default_rng((seed, i)))
-                assert shared.values.tobytes() == own.values.tobytes() == ref.tobytes()
+                assert shared.tobytes() == own.values.tobytes() == ref.tobytes()
                 seen.add(tuple(np.floor(ref + 0.5).astype(int)))
         assert len(seen) == 4
 
@@ -264,6 +269,57 @@ class TestEnsembleEquivariance:
         assert np.array_equal(counts[0], counts[1])
         assert np.array_equal(counts[0], counts[2])
 
+    @pytest.mark.parametrize("name", bs.PRESET_NAMES)
+    def test_histogram_recounts_the_records_through_cell_index(self, name):
+        # the report counts the cells the integrator recorded; the oracle
+        # recounts the same rows' recorded lambdas through cell_index
+        cfg = parse_config({"preset": name})
+        m = build_model(cfg)
+        rep = bs.ensemble_equivariance(m.field, m.state0, 100, cfg.run.times, seed=12,
+                                       rtol=1e-7, atol=1e-9, workers=1)
+        tuples, cum = _initial_cdf(m.state0, m.beable_set)
+        starts = np.array([_draw_lambda(tuples, cum, np.random.default_rng((12, i)))
+                           for i in range(100)])
+        recount = np.zeros_like(rep.empirical)
+        for traj in _integrate_block(m.field, m.state0, starts, rep.times, 1e-7, 1e-9):
+            if traj.status is not bs.TrajectoryStatus.COMPLETED:
+                continue
+            for k, lam in enumerate(traj.lambdas):
+                cells = tuple(bs.cell_index(b, x) for b, x in zip(m.beable_set, lam))
+                recount[k, rep.cell_tuples.index(cells)] += 1
+        assert np.array_equal(rep.empirical, recount)
+        assert recount.sum(axis=1).tolist() == [rep.n_completed] * rep.times.size
+
+    def test_pool_has_one_worker_per_block(self, rabi, monkeypatch):
+        # 100 trajectories at 11 workers make 10 blocks of 10; an in-process
+        # stand-in for the pool records its size
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        kwargs = dict(times=[0.8, 2.0], seed=5, rtol=1e-7, atol=1e-9)
+        serial = bs.ensemble_equivariance(rabi.field, rabi.state0, 100, workers=1, **kwargs)
+        monkeypatch.setattr(verification, "ProcessPoolExecutor", InlinePool)
+        # the stand-in runs the pool initializer in this process
+        monkeypatch.setattr(verification, "_worker_inputs", None)
+        pooled = bs.ensemble_equivariance(rabi.field, rabi.state0, 100, workers=11, **kwargs)
+        assert sizes == [10]
+        assert np.array_equal(serial.empirical, pooled.empirical)
+
     def test_histogram_sums_to_completed(self, rabi):
         rep = bs.ensemble_equivariance(rabi.field, rabi.state0, 120,
                                        [0.3, 0.9], seed=3, workers=1,
@@ -339,6 +395,11 @@ class TestWorkerResolution:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("BEABLE_SIM_THREADS", "5")
         assert _resolve_workers(None) == 5
+
+    def test_default_counts_the_cpus_this_process_may_run_on(self, monkeypatch):
+        monkeypatch.delenv("BEABLE_SIM_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _resolve_workers(None) == 1
 
     def test_env_must_be_integer(self, monkeypatch):
         monkeypatch.setenv("BEABLE_SIM_THREADS", "lots")
