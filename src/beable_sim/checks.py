@@ -17,7 +17,7 @@ import numpy as np
 from .config import BuiltModel
 from .dynamics import _integrate_on_grid, TrajectoryStatus, quantum_distribution
 from .errors import NumericError
-from .linalg import evolve
+from .linalg import evolve, expectation
 from .verification import (
     TwoStateOracle,
     average_consistency,
@@ -166,9 +166,7 @@ def _check_average_consistency(model: BuiltModel, strict: bool,
     mid = (hi + lo) / 2.0
 
     def curve(t: float) -> float:
-        state = evolve(model.state0, model.propagator, t)
-        psi = state.amplitudes
-        raw = float(np.vdot(psi, b.matrix.entries @ psi).real)
+        raw = expectation(evolve(model.state0, model.propagator, t), b.matrix).real
         return (raw - mid) / half_span
 
     t_final = model.config.run.t_final

@@ -7,16 +7,20 @@ the initial state, dynamics options, and run options. Complex numbers are
 beable matrices) pulls fields from a shipped preset, with explicit keys
 taking precedence.
 
-Validation collects every violation before reporting so a broken config
-fails once with the full list, and canonical serialization guarantees
-serialize(parse(x)) is a fixed point (the round-trip contract the CLI's
-manifest hashing relies on).
+Parsing raises InputError on the first structural fault, naming the key
+and its value. Validation then builds each input once, through the
+constructor that owns its invariant (Operator for Hermiticity, QuantumState
+for normalization, from_hermitian and validate_commuting_set for the
+beables), and lists every violation once, with its offender named, in one
+ConfigError. Canonical serialization guarantees serialize(parse(x)) is a
+fixed point (the round-trip contract the CLI's manifest hashing relies on).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -32,15 +36,7 @@ from .dynamics import (
     VelocityField,
 )
 from .errors import ConfigError, InputError
-from .linalg import (
-    HERMITICITY_TOL,
-    NORMALIZATION_TOL,
-    Operator,
-    Propagator,
-    QuantumState,
-    diagonalize,
-    max_norm,
-)
+from .linalg import Operator, Propagator, QuantumState, diagonalize
 from .presets import preset_config
 
 SCHEMA_VERSION = 1
@@ -164,13 +160,37 @@ def _field_preset(value, section: str):
     return cfg["hamiltonian"] if section == "hamiltonian" else cfg["initial_state"]
 
 
+def _number(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must be a number, got {value!r}") from exc
+
+
+def _integer(value, what: str) -> int:
+    """value as an int; integral floats such as 7.0 pass, bools do not."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral)
+            or isinstance(value, float) and value.is_integer()):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _sequence(value, what: str, item) -> tuple:
+    """A JSON list as a tuple, each entry through item(entry, 'what[i]')."""
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"{what} must be a list, got {value!r}")
+    return tuple(item(x, f"{what}[{i}]") for i, x in enumerate(value))
+
+
 def _options(cls, raw: dict, section: str, convert: dict):
     """cls from the keys that raw[section] states, each through its
     converter; every other field keeps the default declared on cls."""
     given = raw.get(section, {})
     if not isinstance(given, dict):
         raise InputError(f"{section} must be an object")
-    return cls(**{key: conv(given[key]) for key, conv in convert.items() if key in given})
+    return cls(**{key: conv(given[key], f"{section}.{key}")
+                  for key, conv in convert.items() if key in given})
 
 
 def parse_config(raw: dict) -> ModelConfig:
@@ -184,8 +204,8 @@ def parse_config(raw: dict) -> ModelConfig:
     if missing:
         raise InputError(f"config is missing required keys: {', '.join(missing)}")
 
-    dim = raw["dimension"]
-    if not isinstance(dim, int) or dim < 1:
+    dim = _integer(raw["dimension"], "dimension")
+    if dim < 1:
         raise InputError(f"dimension must be a positive integer, got {dim!r}")
 
     h = pairs_to_matrix(_field_preset(raw["hamiltonian"], "hamiltonian"), "hamiltonian")
@@ -204,16 +224,18 @@ def parse_config(raw: dict) -> ModelConfig:
         beables.append(BeableSpec(
             label=str(entry.get("label", f"beable_{i}")),
             matrix=mat,
-            ordering=tuple(int(x) for x in ordering) if ordering is not None else None,
-            degeneracy_tol=(float(entry["degeneracy_tol"])
+            ordering=(_sequence(ordering, f"beables[{i}].ordering", _integer)
+                      if ordering is not None else None),
+            degeneracy_tol=(_number(entry["degeneracy_tol"], f"beables[{i}].degeneracy_tol")
                             if "degeneracy_tol" in entry else None),
         ))
 
     dyn = _options(DynamicsOptions, raw, "dynamics", {
-        "symmetrization": str, "rtol": float, "atol": float, "node_floor": float})
+        "symmetrization": lambda value, what: str(value),
+        "rtol": _number, "atol": _number, "node_floor": _number})
     run = _options(RunOptions, raw, "run", {
-        "t_final": float, "output_dt": float, "n_trajectories": int, "seed": int,
-        "times": lambda times: tuple(float(t) for t in times)})
+        "t_final": _number, "output_dt": _number, "n_trajectories": _integer,
+        "seed": _integer, "times": lambda value, what: _sequence(value, what, _number)})
     return ModelConfig(dimension=dim, hamiltonian=h, beables=beables,
                        initial_state=state, dynamics=dyn, run=run)
 
@@ -268,54 +290,42 @@ def config_hash(config: ModelConfig) -> str:
 # ---------------------------------------------------------------------------
 # validation and building
 
+def _built(problems: list, name: str, entries: np.ndarray, shape: tuple, build, **kwargs):
+    """build(entries, **kwargs) if entries has the expected shape; else, or
+    when build raises InputError, None with the fault listed under name."""
+    if entries.shape != shape:
+        problems.append(f"{name} has shape {entries.shape}, expected {shape}")
+        return None
+    try:
+        return build(entries, **kwargs)
+    except InputError as exc:
+        problems.append(f"{name} {exc}")
+        return None
+
+
 def _check_model(config: ModelConfig) -> tuple:
-    """(every violation as a human-readable message, the validated beable
-    set or None); each beable and the joint eigenbasis are built once."""
+    """(every violation as a human-readable message, the Hamiltonian
+    Operator, the initial QuantumState, the BeableSet). Each input is built
+    once, by the constructor that owns its check; one that failed is None."""
     problems = []
     dim = config.dimension
-    h = config.hamiltonian
-    if h.shape != (dim, dim):
-        problems.append(f"hamiltonian has shape {h.shape}, expected ({dim}, {dim})")
-    else:
-        scale = max(max_norm(h), 1e-300)
-        resid = max_norm(h - h.conj().T)
-        if resid > HERMITICITY_TOL * scale:
-            problems.append(
-                f"hamiltonian is not Hermitian (||H - H^dag||_max = {resid:.3e})"
-            )
-
-    if config.initial_state.shape != (dim,):
-        problems.append(
-            f"initial_state has shape {config.initial_state.shape}, expected ({dim},)"
-        )
-    else:
-        norm = float(np.linalg.norm(config.initial_state))
-        if abs(norm - 1.0) > NORMALIZATION_TOL:
-            problems.append(f"initial_state is not normalized (||psi|| = {norm:.12g})")
-
+    h_op = _built(problems, "hamiltonian", config.hamiltonian, (dim, dim),
+                  Operator, hermitian=True)
+    state0 = _built(problems, "initial_state", config.initial_state, (dim,), QuantumState)
     built = []
     for i, spec in enumerate(config.beables):
         name = f"beable '{spec.label}' (index {i})"
-        if spec.matrix.shape != (dim, dim):
-            problems.append(f"{name} has shape {spec.matrix.shape}, expected ({dim}, {dim})")
+        xi = _built(problems, name, spec.matrix, (dim, dim), Operator, hermitian=True)
+        if xi is None:
             continue
-        scale = max(max_norm(spec.matrix), 1e-300)
-        resid = max_norm(spec.matrix - spec.matrix.conj().T)
-        if resid > HERMITICITY_TOL * scale:
-            problems.append(f"{name} is not Hermitian (residual {resid:.3e})")
-            continue
+        tol = {} if spec.degeneracy_tol is None else {"degeneracy_tol": spec.degeneracy_tol}
         try:
-            kwargs = {}
-            if spec.degeneracy_tol is not None:
-                kwargs["degeneracy_tol"] = spec.degeneracy_tol
-            if spec.ordering is not None:
-                kwargs["ordering"] = spec.ordering
-            built.append(from_hermitian(Operator(spec.matrix, hermitian=True),
-                                        label=spec.label, **kwargs))
+            built.append(from_hermitian(xi, ordering=spec.ordering, label=spec.label, **tol))
         except InputError as exc:
             problems.append(f"{name}: {exc}")
 
     beable_set = None
+    # a commutation verdict on a set with a member missing would mislead
     if len(built) == len(config.beables) and built:
         try:
             beable_set = validate_commuting_set(built)
@@ -336,7 +346,7 @@ def _check_model(config: ModelConfig) -> tuple:
         problems.append("run.output_dt must be positive")
     if config.run.n_trajectories < 1:
         problems.append("run.n_trajectories must be at least 1")
-    return problems, beable_set
+    return problems, h_op, state0, beable_set
 
 
 def validate_model(config: ModelConfig) -> list:
@@ -347,7 +357,6 @@ def validate_model(config: ModelConfig) -> list:
 @dataclass
 class BuiltModel:
     config: ModelConfig
-    hamiltonian: Operator
     propagator: Propagator
     beable_set: BeableSet
     state0: QuantumState
@@ -357,19 +366,17 @@ class BuiltModel:
 def build_model(config: ModelConfig) -> BuiltModel:
     """Validate and assemble the runnable objects; every violation is
     reported together in one ConfigError."""
-    problems, beable_set = _check_model(config)
+    problems, h_op, state0, beable_set = _check_model(config)
     if problems:
         raise ConfigError(problems)
-    h_op = Operator(config.hamiltonian, hermitian=True)
     prop = diagonalize(h_op)
-    state0 = QuantumState(config.initial_state, time=0.0)
     vfield = VelocityField(
         beable_set, prop,
         symmetrization=Symmetrization(config.dynamics.symmetrization),
         node_floor=config.dynamics.node_floor,
     )
-    return BuiltModel(config=config, hamiltonian=h_op, propagator=prop,
-                      beable_set=beable_set, state0=state0, field=vfield)
+    return BuiltModel(config=config, propagator=prop, beable_set=beable_set,
+                      state0=state0, field=vfield)
 
 
 # ---------------------------------------------------------------------------

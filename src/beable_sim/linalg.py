@@ -56,8 +56,8 @@ class Operator:
             resid = max_norm(a - a.conj().T)
             if resid > HERMITICITY_TOL * scale:
                 raise InputError(
-                    f"operator flagged hermitian violates ||A - A^dag|| <= "
-                    f"{HERMITICITY_TOL:g}*||A|| (residual {resid:.3e}, scale {scale:.3e})"
+                    f"is not Hermitian: ||A - A^dag||_max = {resid:.3e} exceeds "
+                    f"{HERMITICITY_TOL:g}*||A||_max (||A||_max = {scale:.3e})"
                 )
         if projector:
             if not hermitian:
@@ -100,7 +100,7 @@ class QuantumState:
         norm = float(np.linalg.norm(v))
         if abs(norm - 1.0) > NORMALIZATION_TOL:
             raise InputError(
-                f"state is not normalized: ||psi|| = {norm:.12g} "
+                f"is not normalized: ||psi|| = {norm:.12g} "
                 f"(tolerance {NORMALIZATION_TOL:g})"
             )
         v.setflags(write=False)

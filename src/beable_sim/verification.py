@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .beables import BeableOperator, BeableSet, LambdaConfig, cell_index
+from .beables import BeableOperator, BeableSet, LambdaConfig, cell_index, lower_projector
 from .dynamics import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
@@ -36,7 +36,7 @@ from .dynamics import (
     _lambda_values,
 )
 from .errors import InputError
-from .linalg import QuantumState, evolve
+from .linalg import QuantumState, evolve, expectation
 
 ENV_THREADS = "BEABLE_SIM_THREADS"
 
@@ -76,10 +76,7 @@ def sample_initial(state: QuantumState, beable_set: BeableSet,
 
 def level_expectation(state: QuantumState, b: BeableOperator, lam: float) -> float:
     """<t|L(lambda)|t>, the conserved level value of one-beable dynamics."""
-    n = cell_index(b, lam)
-    psi = state.amplitudes
-    weights = [float(np.vdot(psi, p.entries @ psi).real) for p in b.projectors[:n + 1]]
-    return sum(weights[:n]) + (lam - n + 0.5) * weights[n]
+    return expectation(state, lower_projector(b, lam)).real
 
 
 def single_beable_levelset(state0: QuantumState, b: BeableOperator,
@@ -98,10 +95,7 @@ def single_beable_levelset(state0: QuantumState, b: BeableOperator,
         )
     level0 = min(max(level0, 0.0), 1.0)
     state_t = evolve(state0, prop, t - state0.time)
-    psi = state_t.amplitudes
-    weights = np.array([
-        float(np.vdot(psi, p.entries @ psi).real) for p in b.projectors
-    ])
+    weights = np.array([expectation(state_t, p).real for p in b.projectors])
     weights = np.clip(weights, 0.0, None)
     cum = np.concatenate(([0.0], np.cumsum(weights)))
     cum /= cum[-1]

@@ -219,3 +219,11 @@ class TestConfigCommand:
 
     def test_unknown_name_fails(self, capsys):
         assert main(["config", "not-a-preset"]) == 1
+
+
+def test_a_bad_option_value_exits_one_without_a_traceback(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"preset": "two-state-rabi", "run": {"t_final": "abc"}})
+    assert main(["verify", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "run.t_final" in err
+    assert "Traceback" not in err

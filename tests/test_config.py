@@ -170,3 +170,77 @@ class TestConfigHash:
         raw["dynamics"] = [1e-9]
         with pytest.raises(InputError, match="dynamics must be an object"):
             parse_config(raw)
+
+
+class TestOptionValues:
+    @pytest.mark.parametrize("path, value, key, shown", [
+        (("run", "t_final"), "abc", "run.t_final", "'abc'"),
+        (("run", "times"), 5, "run.times", "5"),
+        (("dynamics", "rtol"), None, "dynamics.rtol", "None"),
+        (("beables", 0, "ordering"), [0, "x"], "beables[0].ordering", "'x'"),
+        (("beables", 0, "degeneracy_tol"), "a", "beables[0].degeneracy_tol", "'a'"),
+        (("dimension",), True, "dimension", "True"),
+        (("run", "n_trajectories"), 2.7, "run.n_trajectories", "2.7"),
+    ])
+    def test_a_bad_value_raises_input_error_naming_the_key(self, path, value, key, shown):
+        raw = custom_config_dict()
+        target = raw
+        for step in path[:-1]:
+            target = target.setdefault(step, {}) if isinstance(step, str) else target[step]
+        target[path[-1]] = value
+        with pytest.raises(InputError) as err:
+            parse_config(raw)
+        assert key in str(err.value) and shown in str(err.value)
+
+    def test_integral_floats_keep_the_config_hash(self):
+        raw = custom_config_dict()
+        raw["dimension"] = 2.0
+        raw["run"].update(n_trajectories=100.0, seed=3.0)
+        raw["beables"][0]["ordering"] = [1.0, 0.0]
+        exact = custom_config_dict()
+        exact["beables"][0]["ordering"] = [1, 0]
+        assert config_hash(parse_config(raw)) == config_hash(parse_config(exact))
+
+
+NOT_HERMITIAN = [[[1.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+SIGMA_X = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+THREE_BY_THREE = [[[1.0, 0.0]] * 3] * 3
+
+
+class TestEachViolationOnce:
+    def test_a_non_hermitian_beable_is_named_once(self):
+        raw = custom_config_dict()
+        raw["beables"][0]["matrix"] = NOT_HERMITIAN
+        problems = validate_model(parse_config(raw))
+        assert len(problems) == 1
+        assert "beable 'sz' (index 0) is not Hermitian" in problems[0]
+
+    @pytest.mark.parametrize("bad", [NOT_HERMITIAN, THREE_BY_THREE],
+                             ids=["not-hermitian", "wrong-shape"])
+    def test_no_commutation_verdict_while_a_beable_failed(self, bad):
+        # sz and sx do not commute, but the set is incomplete without 'bad'
+        raw = custom_config_dict()
+        raw["beables"] += [{"label": "sx", "matrix": SIGMA_X},
+                           {"label": "bad", "matrix": bad}]
+        problems = validate_model(parse_config(raw))
+        assert len(problems) == 1 and "beable 'bad' (index 2)" in problems[0]
+        assert not any("do not commute" in p for p in problems)
+
+    def test_every_kind_of_violation_is_listed_once(self):
+        raw = custom_config_dict()
+        raw["hamiltonian"][0][1] = [0.5, 0.3]
+        raw["initial_state"] = [[1.0, 0.0], [1.0, 0.0]]
+        raw["beables"].append({"label": "odd", "matrix": NOT_HERMITIAN})
+        raw["dynamics"] = {"symmetrization": "alphabetical", "rtol": -1.0,
+                           "node_floor": -1.0}
+        cfg = parse_config(raw)
+        problems = validate_model(cfg)
+        expected = ["hamiltonian is not Hermitian", "initial_state is not normalized",
+                    "beable 'odd' (index 1) is not Hermitian", "dynamics.symmetrization",
+                    "dynamics.rtol", "dynamics.node_floor"]
+        assert len(problems) == len(expected)
+        for text in expected:
+            assert sum(text in p for p in problems) == 1, text
+        with pytest.raises(ConfigError) as err:
+            build_model(cfg)
+        assert err.value.messages == problems
