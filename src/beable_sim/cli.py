@@ -137,10 +137,11 @@ def cmd_ensemble(args) -> int:
     write_manifest(args.out, config, "ensemble", config.run.seed,
                    [report_path, table_path])
 
-    worst = float(np.nanmax(report.tv_distance))
+    # the TV distance is undefined at every time when no trajectory completed
+    worst = f"{np.max(report.tv_distance):.4f}" if report.n_completed else "undefined"
     print(
         f"{report.n_completed}/{report.n_trajectories} trajectories completed, "
-        f"{report.node_aborted_count} node-aborted; max TV distance {worst:.4f}"
+        f"{report.node_aborted_count} node-aborted; max TV distance {worst}"
     )
     if report.n_completed == 0:
         print("every trajectory aborted at a node", file=sys.stderr)

@@ -25,6 +25,13 @@ every cell crossing to CROSSING_TOL in lambda by three rules:
 Accepted aimed and retried steps leave the controller's step size
 unchanged; a rejected one shrinks it like any rejected step.
 
+A step holds its cells and the state advances by known phases, so the
+forms that P and J are made of depend on neither lambda nor the trajectory
+and are known at all five new stage times t + c h of a step before it
+starts. Both integrators take them from one stacked product per cell tuple
+and step; each stage then only combines them with its own lambda, with the
+arithmetic and checks of a velocity call.
+
 P, the cell distribution and J are built in the beables' joint eigenbasis,
 where cell projectors are 0/1 masks, and evaluated in the Hamiltonian
 eigenbasis, where states advance by pure phases. quantum_probability and
@@ -246,6 +253,11 @@ class VelocityField:
     cached as one (2L + 1, dim, dim) stack [Pi, X_0..X_{L-1}, Y_0..Y_{L-1}],
     so every velocity call is one stacked product giving all 2L + 1
     quadratic forms: P = <Pi> and J_ell = u_ell <X_ell> + <Y_ell>.
+
+    The forms depend only on the tuple and the state, never on lambda, so
+    the integrators take them for many rows and stage times from one
+    _forms call and apply _velocities_of, which holds the checks that
+    velocities makes, one stage at a time.
     """
 
     def __init__(self, beable_set: BeableSet, propagator: Propagator,
@@ -362,18 +374,29 @@ class VelocityField:
     def velocities(self, coeff: np.ndarray, lam, cells: tuple, time) -> np.ndarray:
         """v = J / P at one configuration: coeff (dim,), lam (L,), a float
         time. Or at a stack of rows that share the cell tuple: coeff (n, dim),
-        lam (n, L) and time (n,) give (n, L), row by row equal to single
-        calls; a NodeError then names the first row at a node in ``row``."""
+        lam (n, L) and time (n,), or one float for every row, give (n, L),
+        row by row equal to single calls; a NodeError then names the first
+        row at a node in ``row``."""
         vals, shift = self._forms(coeff, cells)
+        return self._velocities_of(vals, lam, shift, cells, time)
+
+    def _velocities_of(self, vals: np.ndarray, lam, shift, cells, time) -> np.ndarray:
+        """v = J / P from forms of one tuple, checked in this order: P's
+        imaginary part, the node floor, J's imaginary part. vals (2L + 1,)
+        with lam (L,) is one configuration. vals (n, 2L + 1) with lam (n, L)
+        is a stack of rows; shift (L,) or (n, L), cells one tuple or (n, L)
+        and time a float or (n,) may differ between rows, and a NodeError
+        names the first row at a node in ``row``."""
         p = self._probability_of(vals)
-        if coeff.ndim == 1:
+        if vals.ndim == 1:
             if p <= self.node_floor:
                 raise NodeError(cells, p, time)
             return self._currents_of(vals, lam, shift) / p
         low = np.flatnonzero(p <= self.node_floor)
         if low.size:
             row = int(low[0])
-            raise NodeError(cells, p[row], time[row], row=row)
+            raise NodeError(cells if isinstance(cells, tuple) else cells[row], p[row],
+                            time if np.ndim(time) == 0 else time[row], row=row)
         return self._currents_of(vals, lam, shift) / p[:, None]
 
 
@@ -403,6 +426,14 @@ _DP_A = (
 _DP_ROWS = tuple(np.array(row) for row in _DP_A)
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+# the five new stage times of a step are t + c h for these c; the 6th and 7th
+# stages share t + h, so stage i of _dp54_step reads stage time _STAGE_ROW[i]
+_STAGE_C = np.array(_DP_C[1:6])
+_STAGE_ROW = (None, 0, 1, 2, 3, 4, 4)
+# rows per stage-batched _forms call in an ensemble block: the call's
+# temporaries grow as rows x 5 x (2L + 1) x dim, which the largest blocks
+# would otherwise hold all at once
+_FORMS_ROWS = 256
 
 
 def _dp54_step(rhs, t, y, h, k1):
@@ -419,6 +450,19 @@ def _dp54_step(rhs, t, y, h, k1):
         yi = y + h * (_DP_ROWS[i] @ k[:i])
         k[i] = rhs(t + _DP_C[i] * h, yi)
     return yi, h * (_DP_ERR @ k), k[6]
+
+
+def _stage_rhs(field: VelocityField, coeff0: np.ndarray, m_e: np.ndarray, t0: float,
+               cells: tuple, t, h):
+    """The right-hand side of one _dp54_step from t with step h, in the
+    cells the step holds. The state coeff0 at t0 advances by the phases
+    exp(m_e (t - t0)), so the forms at all five new stage times come from
+    one stacked _forms call, and each stage only combines them with its
+    lambda: stage by stage, the arithmetic and checks of a velocities call."""
+    stage_t = t + _STAGE_C * h
+    vals, shift = field._forms(coeff0 * np.exp(m_e * (stage_t - t0)[:, None]), cells)
+    stages = iter(vals[list(_STAGE_ROW[1:])])
+    return lambda t_i, lam: field._velocities_of(next(stages), lam, shift, cells, t_i)
 
 
 @dataclass
@@ -653,7 +697,8 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
             if h_aim is not None and abs(h_aim) < abs(h_try):
                 h_try, clamped = h_aim, False
 
-            y_new, err, k_last = _dp54_step(rhs, t, y, h_try, f_now)
+            y_new, err, k_last = _dp54_step(_stage_rhs(field, coeff0, m_e, t0, cells, t, h_try),
+                                            t, y, h_try, f_now)
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
             ratio = err / scale
             enorm = math.sqrt(ratio @ ratio / n_b)
@@ -713,11 +758,15 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
     more than CROSSING_TOL is retried, shortened to the first contact of its
     Hermite interpolant. (3) One that escapes by at most CROSSING_TOL is
     accepted and snapped into the next cell. Crossing rows stay in the
-    block: each stage makes one stacked VelocityField.velocities call per
-    cell tuple among the rows, and no row is evaluated any other way. Every
-    operation is row by row (elementwise, or a per-row product inside
-    velocities), so a row's result does not depend on the other rows of the
-    block: any split of an ensemble into blocks gives bit-identical results.
+    block: each lockstep iteration makes one _forms call per cell tuple
+    among the stepping rows (per _FORMS_ROWS rows in a larger group) for
+    their five new stage times at once, and each stage applies
+    VelocityField._velocities_of to all live rows; a first stage that is
+    not carried over from the last step is one stacked velocities call per
+    tuple. Every operation is row by row (elementwise, or a per-row product
+    inside _forms), so a row's result does not depend on the other rows of
+    the block: any split of an ensemble into blocks gives bit-identical
+    results.
     """
     beable_set = field.beable_set
     n_b = len(beable_set)
@@ -754,28 +803,35 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
         code[row] = cells[row] @ radix
         fresh[row] = False
 
+    def groups(rows):
+        """(positions in rows, cell tuple) for each cell tuple among rows."""
+        codes = code[rows]
+        order = np.argsort(codes, kind="stable")
+        cuts = np.flatnonzero(np.diff(codes[order])) + 1
+        return [(pos, tuple(cells[rows[pos[0]]].tolist())) for pos in np.split(order, cuts)]
+
+    def settle(out, ok, rows, pos, call):
+        """out[pos] = call(pos) for positions pos of rows. A row at a node
+        (the NodeError's ``row``) is aborted, marked False in ok and left
+        out of the retry."""
+        while pos.size:
+            try:
+                out[pos] = call(pos)
+                return
+            except NodeError as node:
+                abort(int(rows[pos[node.row]]), node)
+                ok[pos[node.row]] = False
+                pos = np.delete(pos, node.row)
+
     def evaluate(rows, ts, ys):
         """f at (ts, ys) of the given rows, one velocities call per cell
         tuple among them; rows at a node are aborted and come back False in
         the returned mask."""
         f = np.zeros_like(ys)
         ok = np.ones(rows.size, dtype=bool)
-        if not rows.size:
-            return f, ok
         coeff = coeff0 * np.exp(m_e * (ts - t0)[:, None])
-        codes = code[rows]
-        order = np.argsort(codes, kind="stable")
-        cuts = np.flatnonzero(np.diff(codes[order])) + 1
-        for pos in np.split(order, cuts):
-            tup = tuple(cells[rows[pos[0]]].tolist())
-            while pos.size:
-                try:
-                    f[pos] = field.velocities(coeff[pos], ys[pos], tup, ts[pos])
-                    break
-                except NodeError as node:
-                    abort(int(rows[pos[node.row]]), node)
-                    ok[pos[node.row]] = False
-                    pos = np.delete(pos, node.row)
+        for pos, tup in groups(rows):
+            settle(f, ok, rows, pos, lambda p: field.velocities(coeff[p], ys[p], tup, ts[p]))
         return f, ok
 
     t = np.full(n, t0)
@@ -826,16 +882,32 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
         if not act.size:
             continue
 
-        # the Dormand-Prince stages; a row that meets a node leaves `live`
+        # the forms at the five new stage times of every stepping row, one
+        # _forms call per cell tuple among them (per _FORMS_ROWS rows)
         ya = y[act]
+        frozen = cells[act]
+        stage_t = ta[:, None] + _STAGE_C * h_try[:, None]
+        # coeff0 * exp(m_e (t - t0)) in place, one (rows, 5, dim) array
+        coeff = m_e * (stage_t - t0)[..., None]
+        np.multiply(coeff0, np.exp(coeff, out=coeff), out=coeff)
+        forms = np.empty((_STAGE_C.size, act.size, 2 * n_b + 1), dtype=complex)
+        shift = np.empty((act.size, n_b))
+        for group, tup in groups(act):
+            for lo in range(0, group.size, _FORMS_ROWS):
+                pos = group[lo:lo + _FORMS_ROWS]
+                vals, shift[pos] = field._forms(coeff[pos].reshape(-1, coeff0.size), tup)
+                forms[:, pos] = vals.reshape(pos.size, _STAGE_C.size, -1).swapaxes(0, 1)
+
+        # the Dormand-Prince stages; a row that meets a node leaves `live`
         hcol = h_try[:, None]
         k = [f[act]]
         live = np.ones(act.size, dtype=bool)
         for i in range(1, 7):
             yi = ya + hcol * _tableau_sum(_DP_A[i], k)
             k.append(np.zeros_like(ya))
-            sub = np.flatnonzero(live)
-            k[i][sub], live[sub] = evaluate(act[sub], ta[sub] + _DP_C[i] * h_try[sub], yi[sub])
+            vals, ts = forms[_STAGE_ROW[i]], stage_t[:, _STAGE_ROW[i]]
+            settle(k[i], live, act, np.flatnonzero(live), lambda p: field._velocities_of(
+                vals[p], yi[p], shift[p], frozen[p], ts[p]))
         y_new = yi
         scale = atol + rtol * np.maximum(np.abs(ya), np.abs(y_new))
         ratio = hcol * _tableau_sum(_DP_ERR, k) / scale
@@ -854,7 +926,6 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
             h[act[rejected]] = h_new
 
         accepted = live & ~rejected
-        frozen = cells[act]
         excess = np.maximum(y_new - (frozen + 0.5), (frozen - 0.5) - y_new).max(axis=1)
         for pos in np.flatnonzero(accepted & (excess > CROSSING_TOL)).tolist():
             retry[act[pos]] = _retry_step(ya[pos], y_new[pos], k[0][pos], k[6][pos], h_try[pos],

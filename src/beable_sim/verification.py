@@ -210,7 +210,8 @@ class EnsembleReport:
             "cell_tuples": [list(map(int, c)) for c in self.cell_tuples],
             "empirical_counts": self.empirical.tolist(),
             "quantum_probabilities": self.quantum.tolist(),
-            "tv_distance": [float(v) for v in self.tv_distance],
+            # undefined (NaN) when no trajectory completed; JSON has no NaN
+            "tv_distance": [None if math.isnan(v) else float(v) for v in self.tv_distance],
             "node_aborted_count": self.node_aborted_count,
             "n_completed": self.n_completed,
         }

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 
@@ -106,6 +107,28 @@ class TestEnsemble:
         assert len(report["tv_distance"]) == 2
         counts = np.array(report["empirical_counts"])
         assert np.all(counts.sum(axis=1) == report["n_completed"])
+
+    def test_all_aborted_report_is_strict_json(self, tmp_path, capsys):
+        # every rabi start sits in a cell whose P is below 0.6 at t = 0 or
+        # falls below it on the way, so no trajectory completes and the TV
+        # distance is undefined: null in the report, never NaN
+        cfg = write_config(tmp_path, {"preset": "two-state-rabi",
+                                      "dynamics": {"node_floor": 0.6}})
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["ensemble", "--config", cfg, "--trajectories", "100",
+                       "--out", str(out)])
+        assert rc == 2
+        assert "max TV distance undefined" in capsys.readouterr().out
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert report["n_completed"] == 0
+        assert report["node_aborted_count"] == 100
+        assert report["tv_distance"] == [None] * len(report["times"])
 
     def test_long_format_table(self, tmp_path):
         cfg = write_config(tmp_path, {"preset": "two-state-rabi",

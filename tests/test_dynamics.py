@@ -17,6 +17,7 @@ from beable_sim.dynamics import (
     _integrate_on_grid,
     _output_grid,
     _retry_step,
+    _stage_rhs,
     _subset_weights,
 )
 from beable_sim.errors import InputError, NodeError, NumericError
@@ -262,6 +263,19 @@ class TestStackedEvaluation:
         assert err.value.probability == p
         assert err.value.time == 1.25
 
+    def test_stacked_rows_take_one_float_time(self, rabi):
+        # cell 0 is empty in |up> at t = 0: every row is at a node
+        coeff = rabi.field.state_coefficients(rabi.state0)
+        with pytest.raises(NodeError) as err:
+            rabi.field.velocities(np.stack([coeff, coeff]), np.zeros((2, 1)), (0,), 0.0)
+        assert (err.value.row, err.value.cells, err.value.time) == (0, (0,), 0.0)
+        # away from a node, a float time is every row's time
+        times = np.array([0.4, 0.4])
+        stack = coeff * np.exp(-1j * rabi.propagator.energies * times[:, None])
+        lam = np.array([[0.1], [-0.3]])
+        np.testing.assert_array_equal(rabi.field.velocities(stack, lam, (0,), 0.4),
+                                      rabi.field.velocities(stack, lam, (0,), times))
+
     @pytest.mark.parametrize("ell", [0, 2])
     def test_non_hermitian_tuple_operator_names_the_component(self, rng, ell):
         bset, prop, state = l3_commuting_model(rng)
@@ -361,6 +375,21 @@ class TestBlockIntegration:
                                                 **BLOCK_TOL)]
             assert_rows_identical(ones, whole)
             assert_rows_identical(sevens, whole)
+
+    def test_rows_do_not_depend_on_the_forms_chunk(self, rng, monkeypatch):
+        # the stage-batched forms of a tuple's rows come in chunks of
+        # _FORMS_ROWS rows; chunks of 3 must give the rows of one chunk
+        import beable_sim.dynamics as dyn
+
+        for name, field, state0, times in block_models(rng):
+            if name not in ("two-qubit", "random-l3"):
+                continue
+            starts = seeded_starts(field, state0, 50, seed=7)
+            whole = _integrate_block(field, state0, starts, times, **BLOCK_TOL)
+            with monkeypatch.context() as patch:
+                patch.setattr(dyn, "_FORMS_ROWS", 3)
+                chunked = _integrate_block(field, state0, starts, times, **BLOCK_TOL)
+            assert_rows_identical(chunked, whole)
 
     def test_stacked_velocities_match_single_calls(self, rng):
         for name, field, state in stacked_models(rng):
@@ -561,6 +590,56 @@ class TestDormandPrinceStep:
         np.testing.assert_allclose(got_err, err, rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(k7, k[6], rtol=0.0, atol=1e-14)
         assert np.array_equal(k7, rhs(t + h, y_new))
+
+    @staticmethod
+    def step_outcome(field, coeff0, t0, cells, t, y, h, batched):
+        """_dp54_step from (t, y) in cells, its stages from the batched forms
+        or from one velocities call per stage: (y_new, err, last stage), or
+        the NodeError's (cells, probability, time)."""
+        m_e = -1j * field._energies
+        k1 = field.velocities(coeff0 * np.exp(m_e * (t - t0)), y, cells, t)
+        if batched:
+            rhs = _stage_rhs(field, coeff0, m_e, t0, cells, t, h)
+        else:
+            def rhs(t_i, lam):
+                return field.velocities(coeff0 * np.exp(m_e * (t_i - t0)), lam, cells, t_i)
+        try:
+            return _dp54_step(rhs, t, y, h, k1)
+        except NodeError as node:
+            return node.cells, node.probability, node.time
+
+    def test_batched_stages_match_one_velocities_call_per_stage(self, rng):
+        draw = np.random.default_rng(31)
+        for name, field, state0, times in block_models(rng):
+            coeff0 = field.state_coefficients(state0)
+            steps = 0
+            for lam in seeded_starts(field, state0, 20, seed=13):
+                cells = tuple(bs.cell_index(b, x) for b, x in zip(field.beable_set, lam))
+                t = state0.time + draw.uniform(0.0, times[-1])
+                h = draw.choice([-1.0, 1.0]) * draw.uniform(1e-3, 0.3)
+                try:
+                    want = self.step_outcome(field, coeff0, state0.time, cells, t, lam, h, False)
+                except NodeError:
+                    continue    # the step's first stage is at a node
+                got = self.step_outcome(field, coeff0, state0.time, cells, t, lam, h, True)
+                assert len(got) == len(want), name
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a, b, err_msg=f"{name} t={t} h={h}")
+                steps += 1
+            assert steps >= 10, name
+
+    def test_batched_stages_meet_a_node_at_the_same_stage(self, rabi):
+        # P(cell 1) = cos^2(t / 2) falls to the floor 0.2 at t_node: the
+        # first two stages lie before it and the third, at t + 3h/10, after
+        field = bs.VelocityField(rabi.beable_set, rabi.propagator, node_floor=0.2)
+        coeff0 = field.state_coefficients(rabi.state0)
+        h = 0.1
+        t = 2.0 * np.arccos(np.sqrt(0.2)) - 0.25 * h
+        outcomes = [self.step_outcome(field, coeff0, 0.0, (1,), t, np.array([1.2]), h, batched)
+                    for batched in (False, True)]
+        assert outcomes[0] == outcomes[1]
+        cells, p, when = outcomes[1]
+        assert cells == (1,) and p <= 0.2 and when == t + 0.3 * h
 
 
 class TestIntegrateTrajectory:
