@@ -250,9 +250,12 @@ class VelocityField:
     where every projector is a 0/1 mask and the ordering-averaged current
     is a weighted Hadamard product with H, then rotated once into the
     Hamiltonian eigenbasis, where states advance by pure phases. They are
-    cached as one (2L + 1, dim, dim) stack [Pi, X_0..X_{L-1}, Y_0..Y_{L-1}],
-    so every velocity call is one stacked product giving all 2L + 1
-    quadratic forms: P = <Pi> and J_ell = u_ell <X_ell> + <Y_ell>.
+    cached as one stack [Pi, X_0..X_{L-1}, Y_ell of each interior cell], so
+    every velocity call is one stacked product giving the quadratic forms
+    of P = <Pi> and J_ell = u_ell <X_ell> + <Y_ell>. Y_ell is 0 in a
+    beable's bottom cell and exactly -X_ell in its top cell, so it is stored
+    only for an interior cell: a tuple of two-cell beables stacks L + 1
+    matrices, not 2L + 1, and its Y forms are read off its X forms.
 
     The forms depend only on the tuple and the state, never on lambda, so
     the integrators take them for many rows and stage times from one
@@ -295,14 +298,21 @@ class VelocityField:
         return self._basis.conj().T @ state.amplitudes
 
     def _tuple_ops(self, cells: tuple):
-        """Operator stack and lambda shift for one joint cell assignment;
-        built on first use and cached.
+        """Operator stack, lambda shift and form expansion for one joint cell
+        assignment; built on first use and cached.
 
         L_ell is diagonal in the joint basis, so J_ell = u X_ell + Y_ell with
         u = lambda_ell + shift_ell, shift = 1/2 - cells, X_ell[a, b] =
         i (d_a - d_b) H[a, b] for the mask d of cell n and Y_ell the same for
-        the mask of the cells below. Returns (ops, shift) with ops the
-        contiguous stack [Pi, X_0..X_{L-1}, Y_0..Y_{L-1}].
+        the mask of the cells below. Below the bottom cell that mask is empty,
+        so Y_ell = 0; below the top cell it is 1 - d, so Y_ell = -X_ell, and
+        rot @ (-x) @ rot^H is -(rot @ x @ rot^H) exactly. So only an interior
+        cell's Y_ell is stored: ops is the contiguous stack [Pi, X_0..X_{L-1},
+        Y_ell for each interior ell], L + 1 matrices for two-cell beables. The
+        0 / +-1 matrix expand (len(ops), 2L + 1) maps the stack's forms to all
+        2L + 1 forms [P, X_0..X_{L-1}, Y_0..Y_{L-1}]: each stored form once, a
+        top cell's Y form as the negated X form and a bottom cell's as 0.
+        Returns (ops, shift, expand).
         """
         ops = self._tuple_cache.get(cells)
         if ops is not None:
@@ -313,31 +323,44 @@ class VelocityField:
         inside = self.beable_set.labels == column
         below = (self.beable_set.labels < column).astype(float)
         occupied = rot[:, inside.all(axis=0)]
-        stack = np.empty((2 * n_b + 1,) + rot.shape, dtype=complex)
+        tops = [k - 1 for k in self.beable_set.cell_counts]
+        n_interior = sum(0 < n < top for n, top in zip(cells, tops))
+        stack = np.empty((1 + n_b + n_interior,) + rot.shape, dtype=complex)
         stack[0] = occupied @ occupied.conj().T
+        expand = np.zeros((stack.shape[0], 2 * n_b + 1), dtype=complex)
+        expand[:1 + n_b, :1 + n_b] = np.eye(1 + n_b)
         weights = _ordering_weights(inside, self.symmetrization)
         d_in = inside.astype(float)
+        slot = 1 + n_b
         for ell, w in enumerate(weights):
             weighted = 1j * w * self._h_joint
             x_mat = weighted * (d_in[ell][:, None] - d_in[ell][None, :])
-            y_mat = weighted * (below[ell][:, None] - below[ell][None, :])
             stack[1 + ell] = rot @ x_mat @ rot.conj().T
-            stack[1 + n_b + ell] = rot @ y_mat @ rot.conj().T
-        ops = (stack, 0.5 - np.asarray(cells, dtype=float))
+            if 0 < cells[ell] < tops[ell]:
+                y_mat = weighted * (below[ell][:, None] - below[ell][None, :])
+                stack[slot] = rot @ y_mat @ rot.conj().T
+                expand[slot, 1 + n_b + ell] = 1.0
+                slot += 1
+            elif cells[ell] > 0:
+                expand[1 + ell, 1 + n_b + ell] = -1.0
+        ops = (stack, 0.5 - np.asarray(cells, dtype=float), expand)
         self._tuple_cache[cells] = ops
         return ops
 
     def _forms(self, coeff: np.ndarray, cells: tuple):
-        """All 2L + 1 quadratic forms <coeff| ops |coeff> of the tuple, and its
-        lambda shift. A stack of rows (n, dim) gives (n, 2L + 1) forms, each
-        row from its own (2L + 1, dim, dim) @ (dim,) products, so a row's
-        values do not depend on the other rows and every BLAS call stays as
-        small as for one row."""
-        ops, shift = self._tuple_ops(cells)
+        """All 2L + 1 quadratic forms [P, X_0..X_{L-1}, Y_0..Y_{L-1}] of the
+        tuple, and its lambda shift. A stack of rows (n, dim) gives
+        (n, 2L + 1) forms, each row from its own (len(ops), dim, dim) @ (dim,)
+        products, so a row's values do not depend on the other rows and every
+        BLAS call stays as small as for one row. A column of expand holds at
+        most one nonzero, 1 or -1, so each expanded form is a stored form, its
+        exact negation or 0, plus exact zeros: bit for bit the form of the
+        full 2L + 1 stack."""
+        ops, shift, expand = self._tuple_ops(cells)
         if coeff.ndim == 1:
-            return (ops @ coeff) @ coeff.conj(), shift
+            return ((ops @ coeff) @ coeff.conj()).dot(expand), shift
         images = np.matmul(ops, coeff[:, None, :, None])[..., 0]
-        return np.matmul(images, coeff.conj()[:, :, None])[..., 0], shift
+        return np.matmul(images, coeff.conj()[:, :, None])[..., 0].dot(expand), shift
 
     @staticmethod
     def _probability_of(vals: np.ndarray):
@@ -431,7 +454,7 @@ _DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22
 _STAGE_C = np.array(_DP_C[1:6])
 _STAGE_ROW = (None, 0, 1, 2, 3, 4, 4)
 # rows per stage-batched _forms call in an ensemble block: the call's
-# temporaries grow as rows x 5 x (2L + 1) x dim, which the largest blocks
+# temporaries grow as rows x 5 x (stacked operators) x dim, which the largest blocks
 # would otherwise hold all at once
 _FORMS_ROWS = 256
 
@@ -461,8 +484,8 @@ def _stage_rhs(field: VelocityField, coeff0: np.ndarray, m_e: np.ndarray, t0: fl
     lambda: stage by stage, the arithmetic and checks of a velocities call."""
     stage_t = t + _STAGE_C * h
     vals, shift = field._forms(coeff0 * np.exp(m_e * (stage_t - t0)[:, None]), cells)
-    stages = iter(vals[list(_STAGE_ROW[1:])])
-    return lambda t_i, lam: field._velocities_of(next(stages), lam, shift, cells, t_i)
+    rows = iter(_STAGE_ROW[1:])
+    return lambda t_i, lam: field._velocities_of(vals[next(rows)], lam, shift, cells, t_i)
 
 
 @dataclass

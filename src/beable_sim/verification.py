@@ -218,15 +218,21 @@ class EnsembleReport:
 
 
 def _resolve_workers(workers: int | None) -> int:
-    """--workers, else BEABLE_SIM_THREADS, else the CPUs this process may run on."""
+    """--workers, else BEABLE_SIM_THREADS, else the CPUs this process may run on.
+    A count below 1 from either source raises InputError."""
     if workers is not None:
-        return max(1, int(workers))
+        if int(workers) < 1:
+            raise InputError(f"the worker count (--workers) must be at least 1, got {workers}")
+        return int(workers)
     env = os.environ.get(ENV_THREADS)
     if env:
         try:
-            return max(1, int(env))
+            count = int(env)
         except ValueError as exc:
             raise InputError(f"{ENV_THREADS} must be an integer, got {env!r}") from exc
+        if count < 1:
+            raise InputError(f"{ENV_THREADS} must be at least 1, got {env!r}")
+        return count
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -288,6 +294,7 @@ def ensemble_equivariance(field: VelocityField, state0: QuantumState, n: int,
         raise InputError("at least one probe time is required")
     if times[0] < state0.time:
         raise InputError("probe times must not precede the initial state time")
+    n_workers = min(_resolve_workers(workers), n)
 
     tuples, cum = _initial_cdf(state0, field.beable_set)
     quantum = np.empty((times.size, len(tuples)))
@@ -296,7 +303,6 @@ def ensemble_equivariance(field: VelocityField, state0: QuantumState, n: int,
         _, quantum[k] = quantum_distribution(state_t, field.beable_set)
 
     inputs = (field, state0, times, tuples, cum)
-    n_workers = min(_resolve_workers(workers), n)
     counts = np.zeros((times.size, len(tuples)), dtype=np.int64)
     aborted = 0
     if n_workers <= 1:

@@ -130,6 +130,18 @@ class TestEnsemble:
         assert report["node_aborted_count"] == 100
         assert report["tv_distance"] == [None] * len(report["times"])
 
+    def test_a_worker_count_below_one_exits_one(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, {"preset": "two-state-rabi"})
+        args = ["ensemble", "--config", cfg, "--trajectories", "100", "--out", str(tmp_path / "a")]
+        assert main(args + ["--workers", "-3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "(--workers) must be at least 1, got -3" in err
+        monkeypatch.setenv("BEABLE_SIM_THREADS", "0")
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "BEABLE_SIM_THREADS must be at least 1" in err
+        assert "Traceback" not in err
+
     def test_long_format_table(self, tmp_path):
         cfg = write_config(tmp_path, {"preset": "two-state-rabi",
                                       "dynamics": {"rtol": 1e-7, "atol": 1e-9}})

@@ -15,6 +15,7 @@ from beable_sim.dynamics import (
     _escapes,
     _integrate_block,
     _integrate_on_grid,
+    _ordering_weights,
     _output_grid,
     _retry_step,
     _stage_rhs,
@@ -218,6 +219,40 @@ def l3_commuting_model(rng):
     return bset, prop, random_state(rng, 6)
 
 
+def sigma_z_chain(rng, n_qubits):
+    """sigma_z on each of n qubits, a random H and a random state: every
+    beable has two cells, so every cell is a bottom or a top cell."""
+    dim = 2 ** n_qubits
+    beables = []
+    for k in range(n_qubits):
+        diag = np.ones(1)
+        for j in range(n_qubits):
+            diag = np.kron(diag, [1.0, -1.0] if j == k else [1.0, 1.0])
+        beables.append(bs.from_hermitian(bs.Operator(np.diag(diag), hermitian=True),
+                                         label=f"sz_{k}"))
+    bset = bs.validate_commuting_set(beables)
+    return bset, bs.diagonalize(random_hermitian(rng, dim)), random_state(rng, dim)
+
+
+def full_operator_stack(field, cells):
+    """The (2L + 1, dim, dim) stack [Pi, X_0..X_{L-1}, Y_0..Y_{L-1}] with every
+    Y_ell, built from the masks in the joint basis and rotated into the
+    Hamiltonian eigenbasis."""
+    rot = field._rotation
+    labels = field.beable_set.labels
+    column = np.asarray(cells)[:, None]
+    inside = labels == column
+    masks = (inside.astype(float), (labels < column).astype(float))
+    occupied = rot[:, inside.all(axis=0)]
+    ops = [[], []]
+    for ell, w in enumerate(_ordering_weights(inside, field.symmetrization)):
+        weighted = 1j * w * field._h_joint
+        for mask, out in zip(masks, ops):
+            d = mask[ell]
+            out.append(rot @ (weighted * (d[:, None] - d[None, :])) @ rot.conj().T)
+    return np.stack([occupied @ occupied.conj().T] + ops[0] + ops[1])
+
+
 def stacked_models(rng):
     """(name, field, state) for every preset and the random L = 3 set."""
     out = []
@@ -285,14 +320,52 @@ class TestStackedEvaluation:
         lam = np.array(cells, dtype=float)
         for symmetrization in Symmetrization:
             field = bs.VelocityField(bset, prop, symmetrization)
-            ops, _ = field._tuple_ops(cells)
-            ops[1 + len(bset) + ell] += 1e-3j * np.eye(bset.dim)   # Y_ell += i/1000
+            ops = field._tuple_ops(cells)[0]
+            ops[1 + ell] += 1e-3j * np.eye(bset.dim)   # X_ell += i/1000, stored in every tuple
             if symmetrization is Symmetrization.SYMMETRIC_AVERAGE:
                 with pytest.raises(NumericError, match=f"current component {ell} "):
                     field.velocities(coeff, lam, cells, 0.0)
             else:
                 # the ordered variant takes the real part by construction
                 field.velocities(coeff, lam, cells, 0.0)
+
+    @pytest.mark.parametrize("symmetrization", list(Symmetrization))
+    def test_stack_keeps_only_interior_y_and_matches_the_full_stack(self, rng, symmetrization):
+        # Y_ell is 0 in a bottom cell and -X_ell in a top cell, so a tuple
+        # stores Pi, every X_ell and the Y_ell of its interior cells only;
+        # the velocities still equal u X + Y of the full stack bit for bit
+        two_qubit = build_model(parse_config({"preset": "two-qubit"}))
+        models = [("two-qubit", two_qubit.beable_set, two_qubit.propagator,
+                   bs.evolve(two_qubit.state0, two_qubit.propagator, 0.7)),
+                  ("sigma-z-5", *sigma_z_chain(rng, 5)),
+                  ("random-l3", *l3_commuting_model(rng))]
+        for name, bset, prop, state in models:
+            field = bs.VelocityField(bset, prop, symmetrization)
+            n_b = len(bset)
+            coeff = field.state_coefficients(state)
+            rows = coeff * np.exp(-1j * prop.energies * np.array([0.0, 0.3, 1.1])[:, None])
+            checked = 0
+            for cells in bs.all_cell_tuples(bset):
+                interior = sum(0 < n < k - 1 for n, k in zip(cells, bset.cell_counts))
+                assert field._tuple_ops(cells)[0].shape[0] == 1 + n_b + interior, (name, cells)
+                full = full_operator_stack(field, cells)
+                shift = 0.5 - np.asarray(cells, dtype=float)
+                lam = np.array(cells) + rng.uniform(-0.5, 0.5, size=(rows.shape[0], n_b))
+                vals = (full @ coeff) @ coeff.conj()
+                stacked = np.matmul(np.matmul(full, rows[:, None, :, None])[..., 0],
+                                    rows.conj()[:, :, None])[..., 0]
+                if min(vals[0].real, stacked[:, 0].real.min()) <= field.node_floor:
+                    continue
+                want = ((lam[0] + shift) * vals[1:n_b + 1] + vals[n_b + 1:]).real / vals[0].real
+                np.testing.assert_array_equal(field.velocities(coeff, lam[0], cells, 0.0), want,
+                                              err_msg=f"{name} {cells}")
+                want = ((lam + shift) * stacked[:, 1:n_b + 1]
+                        + stacked[:, n_b + 1:]).real / stacked[:, :1].real
+                np.testing.assert_array_equal(field.velocities(rows, lam, cells, 0.0), want,
+                                              err_msg=f"{name} {cells} stacked")
+                checked += 1
+            # every tuple that holds a joint basis vector
+            assert checked == len(set(map(tuple, bset.labels.T.tolist()))), name
 
 
 BLOCK_TOL = dict(rtol=1e-7, atol=1e-9)     # the ensemble tolerances
@@ -451,8 +524,8 @@ class TestBlockIntegration:
         starts = np.array(cells) + rng.uniform(-0.1, 0.1, size=(5, len(cells)))
         for symmetrization in Symmetrization:
             field = bs.VelocityField(bset, prop, symmetrization)
-            ops, _ = field._tuple_ops(cells)
-            ops[1 + len(bset) + 1] += 1e-3j * np.eye(bset.dim)   # Y_1 += i/1000
+            ops = field._tuple_ops(cells)[0]
+            ops[1 + 1] += 1e-3j * np.eye(bset.dim)   # X_1 += i/1000, stored in every tuple
             if symmetrization is Symmetrization.SYMMETRIC_AVERAGE:
                 with pytest.raises(NumericError, match="current component 1 "):
                     _integrate_block(field, state, starts, [0.5], **BLOCK_TOL)

@@ -405,3 +405,13 @@ class TestWorkerResolution:
         monkeypatch.setenv("BEABLE_SIM_THREADS", "lots")
         with pytest.raises(InputError):
             _resolve_workers(None)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_explicit_count_below_one_is_refused(self, workers):
+        with pytest.raises(InputError, match=rf"\(--workers\) must be at least 1, got {workers}$"):
+            _resolve_workers(workers)
+
+    def test_env_count_below_one_is_refused(self, monkeypatch):
+        monkeypatch.setenv("BEABLE_SIM_THREADS", "0")
+        with pytest.raises(InputError, match="BEABLE_SIM_THREADS must be at least 1, got '0'"):
+            _resolve_workers(None)
