@@ -52,7 +52,6 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         config.run.seed = args.seed
     model = build_model(config)
-    os.makedirs(args.out, exist_ok=True)
 
     seed = config.run.seed
     if args.lambda0 is not None:
@@ -64,7 +63,7 @@ def cmd_simulate(args) -> int:
     traj = integrate_trajectory(
         model.field, model.state0, lam0,
         t_final=config.run.t_final, output_dt=config.run.output_dt,
-        rtol=config.dynamics.rtol, atol=config.dynamics.atol, seed=seed_used,
+        rtol=config.dynamics.rtol, atol=config.dynamics.atol,
     )
 
     n_b = len(model.beable_set)
@@ -75,6 +74,9 @@ def cmd_simulate(args) -> int:
         [traj.times[k]] + list(traj.lambdas[k]) + list(traj.xis[k])
         for k in range(traj.times.size)
     )
+    # the directory is made only once there is something to write, so a
+    # rejected run leaves none behind
+    os.makedirs(args.out, exist_ok=True)
     traj_path = os.path.join(args.out, "trajectory.csv")
     _write_csv(traj_path, header, rows)
     write_manifest(args.out, config, "simulate", seed_used, [traj_path])
@@ -97,7 +99,6 @@ def cmd_ensemble(args) -> int:
     if args.trajectories is not None:
         config.run.n_trajectories = args.trajectories
     model = build_model(config)
-    os.makedirs(args.out, exist_ok=True)
 
     if args.times is not None:
         times = _float_list(args.times, "--times")
@@ -112,6 +113,7 @@ def cmd_ensemble(args) -> int:
         atol=config.dynamics.atol, workers=args.workers,
     )
 
+    os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "report.json")
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -265,19 +265,8 @@ def serialize_config(config: ModelConfig) -> dict:
         "hamiltonian": matrix_to_pairs(config.hamiltonian),
         "beables": beables,
         "initial_state": vector_to_pairs(config.initial_state),
-        "dynamics": {
-            "symmetrization": config.dynamics.symmetrization,
-            "rtol": config.dynamics.rtol,
-            "atol": config.dynamics.atol,
-            "node_floor": config.dynamics.node_floor,
-        },
-        "run": {
-            "t_final": config.run.t_final,
-            "output_dt": config.run.output_dt,
-            "n_trajectories": config.run.n_trajectories,
-            "seed": config.run.seed,
-            "times": list(config.run.times),
-        },
+        "dynamics": asdict(config.dynamics),
+        "run": {**asdict(config.run), "times": list(config.run.times)},
     }
 
 

@@ -388,9 +388,13 @@ class VelocityField:
         return j.real
 
     def probability(self, coeff: np.ndarray, cells: tuple) -> float:
+        """P of the tuple for coeff (dim,), or (n,) for a stack of states
+        (n, dim), row by row equal to single calls."""
         return self._probability_of(self._forms(coeff, cells)[0])
 
     def currents(self, coeff: np.ndarray, lam, cells: tuple) -> np.ndarray:
+        """J (L,) for lam (L,). A stack lam (n, L) with one coeff (dim,), or
+        with coeff (n, dim), gives (n, L), row by row equal to single calls."""
         vals, shift = self._forms(coeff, cells)
         return self._currents_of(vals, lam, shift)
 
@@ -504,7 +508,6 @@ class Trajectory:
     cells: np.ndarray
     xis: np.ndarray
     status: TrajectoryStatus
-    seed: int | None = None
     abort_time: float | None = None
     abort_cells: tuple | None = None
 
@@ -996,8 +999,7 @@ def _output_grid(t0: float, t_final: float, output_dt: float) -> np.ndarray:
 
 def integrate_trajectory(field: VelocityField, state0: QuantumState, lambda0,
                          t_final: float, output_dt: float,
-                         rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                         seed: int | None = None) -> Trajectory:
+                         rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> Trajectory:
     """Integrate one lambda trajectory, sampling every output_dt.
 
     The quantum state advances exactly through the cached eigendecomposition;
@@ -1007,6 +1009,4 @@ def integrate_trajectory(field: VelocityField, state0: QuantumState, lambda0,
     recorded and status node_aborted rather than being regularized.
     """
     grid = _output_grid(state0.time, float(t_final), float(output_dt))
-    traj = _integrate_on_grid(field, state0, lambda0, grid, rtol, atol)
-    traj.seed = seed
-    return traj
+    return _integrate_on_grid(field, state0, lambda0, grid, rtol, atol)

@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all beable_sim modules.
 
-The CLI maps these onto its exit-code contract: validation problems exit
-with 1, numeric/node failures with 2 (verification check failures, which
-are reported rather than raised, exit with 3).
+The CLI's main owns the exit-code contract and maps these classes onto
+it: validation problems (InputError) exit with 1, numeric/node failures
+(NumericError) with 2, and verification check failures, which are reported
+rather than raised, with 3. The classes carry no exit code themselves.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ class BeableSimError(Exception):
 class InputError(BeableSimError):
     """Invalid input: dimension mismatch, broken invariant, bad config."""
 
-    exit_code = 1
-
 
 class ConfigError(InputError):
     """One or more model-config validation failures, reported together."""
@@ -28,8 +27,6 @@ class ConfigError(InputError):
 
 class NumericError(BeableSimError):
     """Numerical failure: integrator escape, step underflow, non-convergence."""
-
-    exit_code = 2
 
 
 class NodeError(NumericError):

@@ -1,6 +1,7 @@
-"""Shipped example models, expressed as canonical config dictionaries.
+"""Shipped example models, expressed as config dictionaries.
 
-Each preset is a complete run configuration; the CLI accepts
+Each preset states its model and run options; parsing fills in the
+default dynamics options, as for any config that omits them. The CLI accepts
 ``{"preset": "<name>"}`` (optionally with overriding keys) anywhere it
 accepts an explicit model. All matrices here are real, so the [re, im]
 pairs carry zero imaginary parts.
@@ -22,7 +23,6 @@ import math
 
 import numpy as np
 
-from .dynamics import DEFAULT_ATOL, DEFAULT_NODE_FLOOR, DEFAULT_RTOL, Symmetrization
 from .errors import InputError
 
 
@@ -42,7 +42,6 @@ def _two_state_rabi() -> dict:
         "hamiltonian": _pairs(h),
         "beables": [{"label": "sz", "matrix": _pairs(sz)}],
         "initial_state": _pairs(np.array([1.0, 0.0])),
-        "dynamics": _default_dynamics(),
         "run": {
             "t_final": 2.5,
             "output_dt": 0.05,
@@ -71,7 +70,6 @@ def _two_qubit() -> dict:
             {"label": "sz_b", "matrix": _pairs(np.kron(eye, sz))},
         ],
         "initial_state": _pairs(state),
-        "dynamics": _default_dynamics(),
         "run": {
             "t_final": 2 * math.pi,
             "output_dt": 0.05,
@@ -95,7 +93,6 @@ def _number_operator(dim: int = 8) -> dict:
         "hamiltonian": _pairs(h),
         "beables": [{"label": "n", "matrix": _pairs(number)}],
         "initial_state": _pairs(state),
-        "dynamics": _default_dynamics(),
         "run": {
             "t_final": 2 * math.pi,
             "output_dt": 0.05,
@@ -121,7 +118,6 @@ def _pair_toy() -> dict:
         "hamiltonian": _pairs(h),
         "beables": [{"label": "n_total", "matrix": _pairs(total_number)}],
         "initial_state": _pairs(state),
-        "dynamics": _default_dynamics(),
         "run": {
             "t_final": 2 * math.pi,
             "output_dt": 0.05,
@@ -129,15 +125,6 @@ def _pair_toy() -> dict:
             "seed": 17,
             "times": [1.0, 2.5, 4.0, 5.5],
         },
-    }
-
-
-def _default_dynamics() -> dict:
-    return {
-        "symmetrization": Symmetrization.SYMMETRIC_AVERAGE.value,
-        "rtol": DEFAULT_RTOL,
-        "atol": DEFAULT_ATOL,
-        "node_floor": DEFAULT_NODE_FLOOR,
     }
 
 
@@ -152,7 +139,7 @@ PRESET_NAMES = tuple(sorted(_BUILDERS))
 
 
 def preset_config(name: str) -> dict:
-    """A fresh canonical config dict for a shipped preset."""
+    """A fresh config dict for a shipped preset."""
     try:
         builder = _BUILDERS[name]
     except KeyError:

@@ -5,6 +5,12 @@ projector L(lambda(t)) is a constant of the motion, so lambda(t) follows
 from monotone root-finding instead of ODE integration. That level-set
 solution, the two-state sign formula built on it, and a finite-difference
 continuity residual are the oracles everything else is checked against.
+The oracles take what they read: the level-set inversion an evolved state
+and the conserved level, the average-consistency check the expectation
+value. So a caller that probes many trajectories at one time evolves the
+state once for all of them and evaluates each trajectory's level once. The
+continuity residual gets the field's forms from one stacked probability
+call and one stacked currents call.
 
 Ensemble runs draw initial configurations from the exact joint cell
 distribution (cell tuple from the enumerated distribution, then lambda
@@ -21,7 +27,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -79,22 +84,21 @@ def level_expectation(state: QuantumState, b: BeableOperator, lam: float) -> flo
     return expectation(state, lower_projector(b, lam)).real
 
 
-def single_beable_levelset(state0: QuantumState, b: BeableOperator,
-                           lambda0: float, t: float, prop) -> float:
-    """lambda(t) for one beable, by inverting <t|L(lambda)|t> = L0.
+def single_beable_levelset(state_t: QuantumState, b: BeableOperator, level0: float) -> float:
+    """lambda(t) for one beable, by inverting <t|L(lambda)|t> = level0 in the
+    evolved state state_t, where level0 = <0|L(lambda0)|0> is the conserved
+    level of the start (see level_expectation).
 
     The level expectation is nondecreasing and piecewise linear in lambda,
     so the inversion walks the cells of the cumulative projector weights.
     This is the integration-free oracle for every L = 1 trajectory.
     """
-    level0 = level_expectation(state0, b, lambda0)
     if not -1e-10 <= level0 <= 1.0 + 1e-10:
         raise InputError(
             f"initial level value {level0:.12g} outside [0, 1]; "
             "cell projectors are defective"
         )
     level0 = min(max(level0, 0.0), 1.0)
-    state_t = evolve(state0, prop, t - state0.time)
     weights = np.array([expectation(state_t, p).real for p in b.projectors])
     weights = np.clip(weights, 0.0, None)
     cum = np.concatenate(([0.0], np.cumsum(weights)))
@@ -112,27 +116,24 @@ def single_beable_levelset(state0: QuantumState, b: BeableOperator,
 
 @dataclass(frozen=True)
 class TwoStateOracle:
-    """Closed-form two-cell beable motion xi(t) = sign(<xi>(t) - xi0).
+    """Closed-form two-cell beable motion xi(t) = sign(cos(omega t) - xi0).
 
-    xi0 = 1 - 2 L0 is uniform on [-1, 1] when L0 is uniform on [0, 1]. The
-    default expectation curve is the resonant two-level one, cos(omega t).
+    xi0 = 1 - 2 L0 is uniform on [-1, 1] when L0 is uniform on [0, 1];
+    cos(omega t) is the resonant two-level expectation curve.
     """
 
     omega: float
     xi0: float
-    expectation_curve: Callable[[float], float] | None = None
 
     def __post_init__(self):
         if not -1.0 <= self.xi0 <= 1.0:
             raise InputError(f"xi0 = {self.xi0:g} outside [-1, 1]")
 
     def curve(self, t: float) -> float:
-        if self.expectation_curve is not None:
-            return self.expectation_curve(t)
         return math.cos(self.omega * t)
 
     def first_flip_time(self) -> float:
-        """Earliest t > 0 with cos(omega t) = xi0 (default curve only)."""
+        """Earliest t > 0 with cos(omega t) = xi0."""
         return math.acos(self.xi0) / self.omega
 
 
@@ -141,15 +142,16 @@ def two_state_solution(oracle: TwoStateOracle, t: float) -> float:
     return 1.0 if oracle.curve(t) - oracle.xi0 >= 0.0 else -1.0
 
 
-def average_consistency(oracle: TwoStateOracle, t: float, n_xi0: int) -> float:
-    """Midpoint average of xi(t) over xi0 uniform on [-1, 1].
+def average_consistency(value: float, n_xi0: int) -> float:
+    """Midpoint average of sign(value - xi0) over xi0 uniform on [-1, 1],
+    ties to +1: the ensemble average of the two-state solution at a time
+    where the expectation curve, scaled to [-1, 1], reads value.
 
-    Must reproduce the quantum expectation within 2/n_xi0 + 1e-9.
+    Must reproduce value within 2/n_xi0 + 1e-9.
     """
     if n_xi0 < 100:
         raise InputError("average_consistency needs n_xi0 >= 100")
     mids = -1.0 + (np.arange(n_xi0) + 0.5) * (2.0 / n_xi0)
-    value = oracle.curve(t)
     signs = np.where(value - mids >= 0.0, 1.0, -1.0)
     return float(signs.mean())
 
@@ -162,10 +164,11 @@ def continuity_residual(field: VelocityField, state: QuantumState, lambdas,
     """|dP/dt + sum_ell dJ_ell/dlambda_ell| by central differences of the
     field's own probability and currents.
 
-    dP/dt uses states evolved to t +/- h; each current derivative offsets one
-    lambda component by +/- h with the state fixed. Points within h of a cell
-    boundary return None (skip signal) because the one-sided cells would make
-    the differences meaningless.
+    dP/dt uses the states at t +/- h, both from one stacked probability call;
+    each current derivative offsets one lambda component by +/- h with the
+    state fixed, and all 2L offsets come from one stacked currents call.
+    Points within h of a cell boundary return None (skip signal) because the
+    one-sided cells would make the differences meaningless.
     """
     lam = _lambda_values(field.beable_set, lambdas)
     cells = []
@@ -177,11 +180,12 @@ def continuity_residual(field: VelocityField, state: QuantumState, lambdas,
     cells = tuple(cells)
     coeff = field.state_coefficients(state)
     phase = np.exp(-1j * h * field.propagator.energies)
-    dp_dt = (field.probability(coeff * phase, cells)
-             - field.probability(coeff * phase.conj(), cells)) / (2.0 * h)
-    shifts = h * np.eye(len(cells))
-    div = sum(field.currents(coeff, lam + d, cells)[ell] - field.currents(coeff, lam - d, cells)[ell]
-              for ell, d in enumerate(shifts)) / (2.0 * h)
+    p_plus, p_minus = field.probability(np.stack([coeff * phase, coeff * phase.conj()]), cells)
+    dp_dt = (p_plus - p_minus) / (2.0 * h)
+    n_b = len(cells)
+    shifts = h * np.eye(n_b)
+    j = field.currents(coeff, np.concatenate([lam + shifts, lam - shifts]), cells)
+    div = sum(j[ell, ell] - j[n_b + ell, ell] for ell in range(n_b)) / (2.0 * h)
     return abs(dp_dt + div)
 
 

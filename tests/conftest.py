@@ -14,6 +14,21 @@ def random_hermitian(rng, dim):
     return bs.Operator((a + a.conj().T) / 2, hermitian=True)
 
 
+def multinomial_tv_bound(quantum_rows, n, seed, quantile=0.999, reps=2000):
+    """The largest quantile, over the rows, of the TV distance between n
+    multinomial draws from a row (clipped at 0 and normalized) and the row
+    itself: a direct simulation of the sampling-noise bound."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for q in quantum_rows:
+        q = np.clip(q, 0.0, None)
+        q = q / q.sum()
+        draws = rng.multinomial(n, q, size=reps) / n
+        tv = 0.5 * np.abs(draws - q).sum(axis=1)
+        worst = max(worst, float(np.quantile(tv, quantile)))
+    return worst
+
+
 def random_state(rng, dim, time=0.0):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return bs.QuantumState(v / np.linalg.norm(v), time=time)

@@ -18,7 +18,7 @@ from beable_sim.cli import main
 from beable_sim.config import build_model, parse_config
 from beable_sim.presets import PRESET_NAMES, preset_config
 
-from conftest import random_hermitian, random_state
+from conftest import multinomial_tv_bound, random_hermitian, random_state
 
 ENSEMBLE_RTOL, ENSEMBLE_ATOL = 1e-7, 1e-9
 
@@ -62,19 +62,6 @@ def test_criterion_1_continuity(name, capsys):
 
 # -- 2. Born-rule equivariance at n = 10^4 -----------------------------------
 
-def multinomial_tv_bound(quantum_rows, n, quantile=0.999, reps=2000, seed=0):
-    """Direct multinomial simulation of the sampling-noise TV quantile."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for q in quantum_rows:
-        q = np.clip(q, 0.0, None)
-        q = q / q.sum()
-        draws = rng.multinomial(n, q, size=reps) / n
-        tv = 0.5 * np.abs(draws - q).sum(axis=1)
-        worst = max(worst, float(np.quantile(tv, quantile)))
-    return worst
-
-
 def test_criterion_2_two_state_fraction(capsys):
     model = built("two-state-rabi")
     times = [np.pi / 4, np.pi / 2, 3 * np.pi / 4]
@@ -102,7 +89,7 @@ def test_criterion_2_tv_distance(name, capsys):
                                    atol=ENSEMBLE_ATOL)
     elapsed = time.perf_counter() - start
     # the 0.03 budget must dominate pure multinomial sampling noise
-    noise = multinomial_tv_bound(rep.quantum, rep.n_completed)
+    noise = multinomial_tv_bound(rep.quantum, rep.n_completed, seed=0)
     worst = float(np.max(rep.tv_distance))
     ok = (noise <= 0.03 and worst <= 0.03 and elapsed < 120.0
           and rep.node_aborted_count <= 5)
@@ -130,8 +117,9 @@ def test_criterion_3_levelset_agreement(capsys):
         res = _integrate_on_grid(field, state, lam0, times, 1e-9, 1e-11)
         assert res.status is bs.TrajectoryStatus.COMPLETED, f"system {k} aborted"
         for j, t in enumerate(times):
-            oracle = bs.single_beable_levelset(state, b, float(lam0.values[0]),
-                                               float(t), prop)
+            oracle = bs.single_beable_levelset(
+                bs.evolve(state, prop, float(t)), b,
+                bs.level_expectation(state, b, float(lam0.values[0])))
             worst = max(worst, abs(res.lambdas[j, 0] - oracle))
     announce(capsys, 3, worst <= 1e-5,
              f"integration vs level-set oracle: max |dlambda| = {worst:.2e} "
@@ -168,7 +156,7 @@ def test_criterion_4_average_consistency(capsys):
     worst = 0.0
     for t in np.linspace(0.2, 3.0, 10):
         oracle = bs.TwoStateOracle(omega=1.0, xi0=0.0)
-        avg = bs.average_consistency(oracle, float(t), 1000)
+        avg = bs.average_consistency(oracle.curve(float(t)), 1000)
         worst = max(worst, abs(avg - np.cos(t)))
     announce(capsys, 4, worst <= 3e-3,
              f"midpoint average over 10^3 xi0 vs cos(wt): max error "

@@ -2,6 +2,7 @@ import json
 import warnings
 
 import numpy as np
+import pytest
 
 from beable_sim.cli import main
 
@@ -262,3 +263,17 @@ def test_a_bad_option_value_exits_one_without_a_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "run.t_final" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--lambda0", "9"],
+    ["ensemble", "--trajectories", "100", "--times", "abc"],
+    ["ensemble", "--trajectories", "100", "--workers", "-3"],
+], ids=["lambda0-out-of-range", "unparsable-times", "workers-below-one"])
+def test_a_rejected_run_leaves_no_output_directory(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, {"preset": "two-state-rabi"})
+    out = tmp_path / "out"
+    assert main([argv[0], "--config", cfg, *argv[1:], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()

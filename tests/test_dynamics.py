@@ -284,6 +284,27 @@ class TestStackedEvaluation:
                 checked += 1
             assert checked >= 2, name
 
+    def test_stacked_probability_and_currents_match_single_calls(self, rng):
+        # a (n, dim) stack of states gives n probabilities and a (n, L) stack
+        # of lambdas, with one state or a stack, n current vectors, each bit
+        # for bit its single call
+        for name, field, state in stacked_models(rng):
+            coeff0 = field.state_coefficients(state)
+            m_e = -1j * field.propagator.energies
+            for cells in bs.all_cell_tuples(field.beable_set):
+                coeff = coeff0 * np.exp(m_e * rng.uniform(0.0, 2.0, size=(4, 1)))
+                np.testing.assert_array_equal(
+                    field.probability(coeff, cells),
+                    [field.probability(c, cells) for c in coeff], err_msg=f"{name} {cells}")
+                lam = np.array(cells) + rng.uniform(-0.5, 0.5, size=(4, len(cells)))
+                np.testing.assert_array_equal(
+                    field.currents(coeff0, lam, cells),
+                    [field.currents(coeff0, x, cells) for x in lam], err_msg=f"{name} {cells}")
+                np.testing.assert_array_equal(
+                    field.currents(coeff, lam, cells),
+                    [field.currents(c, x, cells) for c, x in zip(coeff, lam)],
+                    err_msg=f"{name} {cells}")
+
     def test_node_error_carries_cells_probability_and_time(self, rng):
         bset, prop, state = l3_commuting_model(rng)
         probe = bs.VelocityField(bset, prop)

@@ -11,7 +11,7 @@ from beable_sim.dynamics import _integrate_block
 from beable_sim.errors import InputError
 from beable_sim.verification import _draw_lambda, _initial_cdf, _resolve_workers
 
-from conftest import SZ, random_hermitian, random_state
+from conftest import SZ, multinomial_tv_bound, random_hermitian, random_state
 
 
 class TestSampleInitial:
@@ -112,14 +112,15 @@ class TestSingleBeableLevelset:
         b = bs.from_hermitian(h)
         state = random_state(rng, 5)
         for t in (0.0, 1.7, 8.0):
-            lam = bs.single_beable_levelset(state, b, 0.3, t, prop)
+            lam = bs.single_beable_levelset(bs.evolve(state, prop, t), b,
+                                            bs.level_expectation(state, b, 0.3))
             assert lam == pytest.approx(0.3, abs=1e-10)
 
     def test_bottom_boundary_fixed_point(self, rabi):
         state = bs.QuantumState(np.array([1.0, 1.0]) / np.sqrt(2))
         for t in (0.0, 0.9, 2.5):
-            lam = bs.single_beable_levelset(state, rabi.beable, -0.5, t,
-                                            rabi.propagator)
+            lam = bs.single_beable_levelset(bs.evolve(state, rabi.propagator, t), rabi.beable,
+                                            bs.level_expectation(state, rabi.beable, -0.5))
             assert lam == pytest.approx(-0.5, abs=1e-12)
 
     def test_matches_sign_formula(self, rabi):
@@ -133,8 +134,8 @@ class TestSingleBeableLevelset:
                 continue  # flip instant: cell assignment is degenerate there
             lam0 = 1.0 - xi0 / 2.0  # L0 = (1 - xi0)/2 inside cell 1
             oracle = bs.TwoStateOracle(omega=rabi.omega, xi0=xi0)
-            lam_t = bs.single_beable_levelset(rabi.state0, rabi.beable, lam0, t,
-                                              rabi.propagator)
+            lam_t = bs.single_beable_levelset(
+                rabi.state(t), rabi.beable, bs.level_expectation(rabi.state0, rabi.beable, lam0))
             xi_levelset = bs.eigenvalue_at(rabi.beable, lam_t)
             if xi_levelset != bs.two_state_solution(oracle, t):
                 disagreements += 1
@@ -143,33 +144,38 @@ class TestSingleBeableLevelset:
     def test_out_of_domain_lambda_rejected(self, rabi):
         from beable_sim.errors import NumericError
         with pytest.raises(NumericError):
-            bs.single_beable_levelset(rabi.state0, rabi.beable, 3.7, 1.0,
-                                      rabi.propagator)
+            bs.single_beable_levelset(rabi.state(1.0), rabi.beable,
+                                      bs.level_expectation(rabi.state0, rabi.beable, 3.7))
+
+    def test_level_outside_unit_interval_rejected(self, rabi):
+        for level0 in (-1e-6, 1.0 + 1e-6):
+            with pytest.raises(InputError):
+                bs.single_beable_levelset(rabi.state0, rabi.beable, level0)
 
 
 class TestAverageConsistency:
     def test_initial_time_is_exact(self):
         oracle = bs.TwoStateOracle(omega=1.0, xi0=0.0)
-        assert bs.average_consistency(oracle, 0.0, 1000) == 1.0
+        assert bs.average_consistency(oracle.curve(0.0), 1000) == 1.0
 
     def test_half_period_is_exact(self):
         oracle = bs.TwoStateOracle(omega=1.0, xi0=0.0)
-        assert bs.average_consistency(oracle, np.pi, 1000) == -1.0
+        assert bs.average_consistency(oracle.curve(np.pi), 1000) == -1.0
 
     def test_third_period(self):
         oracle = bs.TwoStateOracle(omega=1.0, xi0=0.0)
-        avg = bs.average_consistency(oracle, np.pi / 3, 1000)
+        avg = bs.average_consistency(oracle.curve(np.pi / 3), 1000)
         assert abs(avg - 0.5) <= 2.0 / 1000 + 1e-9
 
     def test_matches_curve_everywhere(self):
         oracle = bs.TwoStateOracle(omega=1.3, xi0=0.0)
         for t in np.linspace(0.1, 7.0, 9):
-            avg = bs.average_consistency(oracle, t, 2000)
+            avg = bs.average_consistency(oracle.curve(t), 2000)
             assert abs(avg - np.cos(1.3 * t)) <= 2.0 / 2000 + 1e-9
 
     def test_minimum_sample_count(self):
         with pytest.raises(InputError):
-            bs.average_consistency(bs.TwoStateOracle(1.0, 0.0), 1.0, 50)
+            bs.average_consistency(bs.TwoStateOracle(1.0, 0.0).curve(1.0), 50)
 
 
 class TestContinuityResidual:
@@ -218,6 +224,31 @@ class TestContinuityResidual:
             if r_asc is None or r_shf is None:
                 continue
             assert abs(r_asc - r_shf) <= 1e-6
+
+    @pytest.mark.parametrize("preset", bs.PRESET_NAMES)
+    def test_equals_single_call_central_differences(self, preset):
+        # the residual takes its forms from stacked calls, bit for bit the
+        # central differences of one probability or currents call per offset
+        m = build_model(parse_config({"preset": preset}))
+        field, h = m.field, 1e-5
+        rng = np.random.default_rng(17)
+        checked = 0
+        while checked < 20:
+            state = bs.evolve(m.state0, m.propagator, float(rng.uniform(0.0, m.config.run.t_final)))
+            lam = np.array([rng.uniform(-0.5, b.n_cells - 0.5) for b in field.beable_set])
+            got = bs.continuity_residual(field, state, lam, h=h)
+            if got is None:
+                continue
+            cells = tuple(bs.cell_index(b, x) for b, x in zip(field.beable_set, lam))
+            coeff = field.state_coefficients(state)
+            phase = np.exp(-1j * h * field.propagator.energies)
+            dp_dt = (field.probability(coeff * phase, cells)
+                     - field.probability(coeff * phase.conj(), cells)) / (2.0 * h)
+            div = sum(field.currents(coeff, lam + d, cells)[ell]
+                      - field.currents(coeff, lam - d, cells)[ell]
+                      for ell, d in enumerate(h * np.eye(len(cells)))) / (2.0 * h)
+            assert got == abs(dp_dt + div), f"{preset} t={state.time} lambda={lam}"
+            checked += 1
 
 
 class TestEnsembleEquivariance:
@@ -338,7 +369,7 @@ class TestEnsembleEquivariance:
         rep = bs.ensemble_equivariance(rabi.field, rabi.state0, n,
                                        [0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4],
                                        seed=404, workers=1, rtol=1e-7, atol=1e-9)
-        assert np.all(rep.tv_distance <= noise_bound(rep.quantum, n))
+        assert np.all(rep.tv_distance <= multinomial_tv_bound(rep.quantum, n, seed=1))
 
     @pytest.mark.parametrize("seed", [1008, 1019, 1031, 666882578])
     def test_pair_toy_ensembles_complete(self, seed):
@@ -350,19 +381,7 @@ class TestEnsembleEquivariance:
         rep = bs.ensemble_equivariance(m.field, m.state0, 100, cfg.run.times, seed=seed,
                                        rtol=1e-7, atol=1e-9, workers=1)
         assert rep.n_completed == 100
-        assert np.all(rep.tv_distance <= noise_bound(rep.quantum, rep.n_completed))
-
-
-def noise_bound(quantum, n):
-    """The largest 99.9 % quantile, over the rows of quantum, of the TV
-    distance of n multinomial draws from that row."""
-    noise_rng = np.random.default_rng(1)
-    bound = 0.0
-    for q in quantum:
-        draws = noise_rng.multinomial(n, q / q.sum(), size=2000) / n
-        tv = 0.5 * np.abs(draws - q / q.sum()).sum(axis=1)
-        bound = max(bound, float(np.quantile(tv, 0.999)))
-    return bound
+        assert np.all(rep.tv_distance <= multinomial_tv_bound(rep.quantum, rep.n_completed, seed=1))
 
 
 class TestFlipTimeEncoding:
