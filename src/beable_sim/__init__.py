@@ -48,6 +48,7 @@ from .verification import (
     EnsembleReport,
     TwoStateOracle,
     average_consistency,
+    cell_weights,
     continuity_residual,
     ensemble_equivariance,
     level_expectation,
@@ -68,7 +69,7 @@ __all__ = [
     "Operator", "Propagator", "QuantumState", "commutator", "diagonalize",
     "evolve", "expectation", "identity",
     "PRESET_NAMES", "preset_config",
-    "EnsembleReport", "TwoStateOracle", "average_consistency",
+    "EnsembleReport", "TwoStateOracle", "average_consistency", "cell_weights",
     "continuity_residual", "ensemble_equivariance", "level_expectation",
     "sample_initial", "single_beable_levelset", "two_state_solution",
 ]

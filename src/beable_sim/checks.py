@@ -7,11 +7,12 @@ are skipped, not failed, on models where they do not apply. Reversibility,
 level-set agreement and level conservation all read one pass over five
 seeded trajectories, each integrated forward and back.
 
-Each oracle input is computed once: the pass evolves the state once per
-probe time and shares it across the trajectories (the last one starts every
-backward leg), each trajectory evaluates its conserved level once, each
-continuity point evaluates the field's forms with two stacked calls, and
-the average-consistency check evaluates its expectation curve once per time.
+Each oracle input is computed once: the pass evolves the state and takes
+its cell weights once per probe time and shares them across the
+trajectories (the last state starts every backward leg), each trajectory
+evaluates its conserved level once, each continuity point evaluates the
+field's forms with two stacked calls, and the average-consistency check
+evaluates its expectation curve once per time.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import NumericError
 from .linalg import evolve, expectation
 from .verification import (
     average_consistency,
+    cell_weights,
     continuity_residual,
     level_expectation,
     sample_initial,
@@ -129,9 +131,11 @@ def _check_trajectories(model: BuiltModel, strict: bool, n_traj: int = 5) -> lis
     names = ("reversibility",) + (("levelset_agreement", "level_conservation") if single else ())
     times = np.linspace(0.0, t_final, 41) if single else np.array([t_final])
     # one evolved state per probe time, shared by every trajectory; the last
-    # one starts the backward legs
+    # one starts the backward legs. On L = 1 the level-set oracle reads each
+    # state's cell weights, also once per time
     states = [evolve(model.state0, model.propagator, float(t)) for t in times]
     b = model.beable_set[0]
+    weights = [cell_weights(state, b) for state in states] if single else []
     worst = dict.fromkeys(names, 0.0)
     for i in range(n_traj):
         lam0 = sample_initial(model.state0, model.beable_set, (cfg.run.seed, 201, i)).values
@@ -151,8 +155,8 @@ def _check_trajectories(model: BuiltModel, strict: bool, n_traj: int = 5) -> lis
         level0 = level_expectation(model.state0, b, float(lam0[0]))
         for k, state in enumerate(states):
             lam = float(fwd.lambdas[k, 0])
-            worst["levelset_agreement"] = max(worst["levelset_agreement"],
-                                              abs(lam - single_beable_levelset(state, b, level0)))
+            oracle = single_beable_levelset(weights[k], level0)
+            worst["levelset_agreement"] = max(worst["levelset_agreement"], abs(lam - oracle))
             worst["level_conservation"] = max(worst["level_conservation"],
                                               abs(level_expectation(state, b, lam) - level0))
     details = {

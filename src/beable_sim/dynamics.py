@@ -251,11 +251,11 @@ class VelocityField:
     is a weighted Hadamard product with H, then rotated once into the
     Hamiltonian eigenbasis, where states advance by pure phases. They are
     cached as one stack [Pi, X_0..X_{L-1}, Y_ell of each interior cell], so
-    every velocity call is one stacked product giving the quadratic forms
-    of P = <Pi> and J_ell = u_ell <X_ell> + <Y_ell>. Y_ell is 0 in a
-    beable's bottom cell and exactly -X_ell in its top cell, so it is stored
-    only for an interior cell: a tuple of two-cell beables stacks L + 1
-    matrices, not 2L + 1, and its Y forms are read off its X forms.
+    the quadratic forms of P = <Pi> and J_ell = u_ell <X_ell> + <Y_ell> for
+    any number of states come from one GEMM and one per-row product. Y_ell
+    is 0 in a beable's bottom cell and exactly -X_ell in its top cell, so it
+    is stored only for an interior cell: a tuple of two-cell beables stacks
+    L + 1 matrices, not 2L + 1, and its Y forms are read off its X forms.
 
     The forms depend only on the tuple and the state, never on lambda, so
     the integrators take them for many rows and stage times from one
@@ -307,12 +307,16 @@ class VelocityField:
         the mask of the cells below. Below the bottom cell that mask is empty,
         so Y_ell = 0; below the top cell it is 1 - d, so Y_ell = -X_ell, and
         rot @ (-x) @ rot^H is -(rot @ x @ rot^H) exactly. So only an interior
-        cell's Y_ell is stored: ops is the contiguous stack [Pi, X_0..X_{L-1},
-        Y_ell for each interior ell], L + 1 matrices for two-cell beables. The
-        0 / +-1 matrix expand (len(ops), 2L + 1) maps the stack's forms to all
-        2L + 1 forms [P, X_0..X_{L-1}, Y_0..Y_{L-1}]: each stored form once, a
-        top cell's Y form as the negated X form and a bottom cell's as 0.
-        Returns (ops, shift, expand).
+        cell's Y_ell is stored: ops is the stack [Pi, X_0..X_{L-1}, Y_ell for
+        each interior ell], K = L + 1 matrices for two-cell beables. The 0 /
+        +-1 matrix expand (K, 2L + 1) maps the stack's forms to all 2L + 1
+        forms [P, X_0..X_{L-1}, Y_0..Y_{L-1}]: each stored form once, a top
+        cell's Y form as the negated X form and a bottom cell's as 0.
+
+        The stack is stored only in the layout _forms multiplies by: the
+        contiguous (dim, K dim) matrix gemm with gemm[j, k dim + i] =
+        ops[k, i, j], so that rows (n, dim) @ gemm gives every row's K images
+        in one BLAS product. Returns (gemm, shift, expand).
         """
         ops = self._tuple_cache.get(cells)
         if ops is not None:
@@ -325,7 +329,9 @@ class VelocityField:
         occupied = rot[:, inside.all(axis=0)]
         tops = [k - 1 for k in self.beable_set.cell_counts]
         n_interior = sum(0 < n < top for n, top in zip(cells, tops))
-        stack = np.empty((1 + n_b + n_interior,) + rot.shape, dtype=complex)
+        dim = rot.shape[0]
+        gemm = np.empty((dim, 1 + n_b + n_interior, dim), dtype=complex)
+        stack = gemm.transpose(1, 2, 0)
         stack[0] = occupied @ occupied.conj().T
         expand = np.zeros((stack.shape[0], 2 * n_b + 1), dtype=complex)
         expand[:1 + n_b, :1 + n_b] = np.eye(1 + n_b)
@@ -343,24 +349,29 @@ class VelocityField:
                 slot += 1
             elif cells[ell] > 0:
                 expand[1 + ell, 1 + n_b + ell] = -1.0
-        ops = (stack, 0.5 - np.asarray(cells, dtype=float), expand)
+        ops = (gemm.reshape(dim, -1), 0.5 - np.asarray(cells, dtype=float), expand)
         self._tuple_cache[cells] = ops
         return ops
 
     def _forms(self, coeff: np.ndarray, cells: tuple):
         """All 2L + 1 quadratic forms [P, X_0..X_{L-1}, Y_0..Y_{L-1}] of the
         tuple, and its lambda shift. A stack of rows (n, dim) gives
-        (n, 2L + 1) forms, each row from its own (len(ops), dim, dim) @ (dim,)
-        products, so a row's values do not depend on the other rows and every
-        BLAS call stays as small as for one row. A column of expand holds at
-        most one nonzero, 1 or -1, so each expanded form is a stored form, its
-        exact negation or 0, plus exact zeros: bit for bit the form of the
-        full 2L + 1 stack."""
-        ops, shift, expand = self._tuple_ops(cells)
-        if coeff.ndim == 1:
-            return ((ops @ coeff) @ coeff.conj()).dot(expand), shift
-        images = np.matmul(ops, coeff[:, None, :, None])[..., 0]
-        return np.matmul(images, coeff.conj()[:, :, None])[..., 0].dot(expand), shift
+        (n, 2L + 1) forms and one row (dim,) gives (2L + 1,).
+
+        The images ops @ row of every row come from one GEMM, rows @ gemm,
+        and each row's forms from its own (K, dim) @ (dim,) product with its
+        conjugate. A GEMM row's bits do not depend on the other rows, but a
+        one-row product goes to BLAS's GEMV kernel, whose bits differ; so a
+        lone row is padded to two, and a row's forms are bit-identical in
+        any block, chunk or worker that holds it (tests check this). A column
+        of expand holds at most one nonzero, 1 or -1, so each expanded form is
+        a stored form, its exact negation or 0, plus exact zeros."""
+        gemm, shift, expand = self._tuple_ops(cells)
+        rows = coeff.reshape(-1, coeff.shape[-1])
+        n, dim = rows.shape
+        images = ((rows if n > 1 else rows.repeat(2, axis=0)) @ gemm)[:n].reshape(n, -1, dim)
+        vals = np.matmul(images, rows.conj()[:, :, None])[..., 0].dot(expand)
+        return (vals[0] if coeff.ndim == 1 else vals), shift
 
     @staticmethod
     def _probability_of(vals: np.ndarray):
@@ -374,18 +385,29 @@ class VelocityField:
             raise NumericError(f"probability has imaginary part {imag:.3e}")
         return p.real
 
-    def _currents_of(self, vals: np.ndarray, lam, shift: np.ndarray) -> np.ndarray:
+    def _current_form_bounds(self, vals: np.ndarray) -> list:
+        """|Im X_ell| + |Im Y_ell| per component ell, the largest over the rows
+        of vals: a bound on |Im J_ell| for u_ell in [0, 1]."""
         n_b = self.n_beables
-        j = (lam + shift) * vals[..., 1:n_b + 1] + vals[..., n_b + 1:]
-        if self.symmetrization is Symmetrization.SYMMETRIC_AVERAGE:
-            # per component, the largest imaginary part over the rows
-            imags = j.imag if j.ndim == 1 else np.abs(j.imag).max(axis=0)
-            for ell, imag in enumerate(imags.tolist()):
-                if abs(imag) > self._imag_tol:
+        im = np.abs(vals.imag)
+        return (im[..., 1:n_b + 1] + im[..., n_b + 1:]).reshape(-1, n_b).max(axis=0).tolist()
+
+    def _currents_of(self, vals: np.ndarray, lam, shift: np.ndarray,
+                     check: bool = True) -> np.ndarray:
+        """J_ell = u_ell Re X_ell + Re Y_ell. With check (and the symmetric
+        average), the imaginary parts are checked on the forms, not on J: a
+        DP45 stage input far outside its cell (u up to 1e9) would otherwise
+        magnify roundoff in Im X_ell past the bound."""
+        n_b = self.n_beables
+        if check and self.symmetrization is Symmetrization.SYMMETRIC_AVERAGE:
+            for ell, bound in enumerate(self._current_form_bounds(vals)):
+                if bound > self._imag_tol:
                     raise NumericError(
-                        f"current component {ell} has imaginary part {imag:.3e}"
+                        f"current component {ell} has imaginary part {bound:.3e} "
+                        "(|Im X| + |Im Y| of its forms)"
                     )
-        return j.real
+        re = vals.real
+        return (lam + shift) * re[..., 1:n_b + 1] + re[..., n_b + 1:]
 
     def probability(self, coeff: np.ndarray, cells: tuple) -> float:
         """P of the tuple for coeff (dim,), or (n,) for a stack of states
@@ -407,18 +429,21 @@ class VelocityField:
         vals, shift = self._forms(coeff, cells)
         return self._velocities_of(vals, lam, shift, cells, time)
 
-    def _velocities_of(self, vals: np.ndarray, lam, shift, cells, time) -> np.ndarray:
+    def _velocities_of(self, vals: np.ndarray, lam, shift, cells, time,
+                       check_currents: bool = True) -> np.ndarray:
         """v = J / P from forms of one tuple, checked in this order: P's
-        imaginary part, the node floor, J's imaginary part. vals (2L + 1,)
-        with lam (L,) is one configuration. vals (n, 2L + 1) with lam (n, L)
-        is a stack of rows; shift (L,) or (n, L), cells one tuple or (n, L)
-        and time a float or (n,) may differ between rows, and a NodeError
-        names the first row at a node in ``row``."""
+        imaginary part, the node floor, the current forms' imaginary parts
+        (see _currents_of; skipped without check_currents, for forms already
+        known to pass). vals (2L + 1,) with lam (L,) is one configuration.
+        vals (n, 2L + 1) with lam (n, L) is a stack of rows; shift (L,) or
+        (n, L), cells one tuple or (n, L) and time a float or (n,) may differ
+        between rows, and a NodeError names the first row at a node in
+        ``row``."""
         p = self._probability_of(vals)
         if vals.ndim == 1:
             if p <= self.node_floor:
                 raise NodeError(cells, p, time)
-            return self._currents_of(vals, lam, shift) / p
+            return self._currents_of(vals, lam, shift, check_currents) / p
         low = np.flatnonzero(p <= self.node_floor)
         if low.size:
             row = int(low[0])
@@ -454,8 +479,11 @@ _DP_ROWS = tuple(np.array(row) for row in _DP_A)
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 # the five new stage times of a step are t + c h for these c; the 6th and 7th
-# stages share t + h, so stage i of _dp54_step reads stage time _STAGE_ROW[i]
+# stages share t + h, so stage i of _dp54_step reads stage time _STAGE_ROW[i].
+# A step that needs a fresh first stage takes it at t + 0 h = t in the same
+# call, at the times t + _FRESH_C h.
 _STAGE_C = np.array(_DP_C[1:6])
+_FRESH_C = np.array(_DP_C[:6])
 _STAGE_ROW = (None, 0, 1, 2, 3, 4, 4)
 # rows per stage-batched _forms call in an ensemble block: the call's
 # temporaries grow as rows x 5 x (stacked operators) x dim, which the largest blocks
@@ -479,17 +507,30 @@ def _dp54_step(rhs, t, y, h, k1):
     return yi, h * (_DP_ERR @ k), k[6]
 
 
+def _forms_at(field: VelocityField, coeff0: np.ndarray, m_e: np.ndarray, t0: float,
+              cells: tuple, times: np.ndarray):
+    """The forms (len(times), 2L + 1) and lambda shift of the state coeff0
+    at t0 advanced to each of times by the phases exp(m_e (t - t0)), from
+    one stacked _forms call."""
+    return field._forms(coeff0 * np.exp(m_e * (times - t0)[:, None]), cells)
+
+
 def _stage_rhs(field: VelocityField, coeff0: np.ndarray, m_e: np.ndarray, t0: float,
-               cells: tuple, t, h):
+               cells: tuple, t, h, ahead=None):
     """The right-hand side of one _dp54_step from t with step h, in the
-    cells the step holds. The state coeff0 at t0 advances by the phases
-    exp(m_e (t - t0)), so the forms at all five new stage times come from
-    one stacked _forms call, and each stage only combines them with its
-    lambda: stage by stage, the arithmetic and checks of a velocities call."""
-    stage_t = t + _STAGE_C * h
-    vals, shift = field._forms(coeff0 * np.exp(m_e * (stage_t - t0)[:, None]), cells)
+    cells the step holds. The forms at all five new stage times come from
+    one stacked call (see _forms_at), unless ahead already holds them as
+    (vals, shift), and each stage only combines its row with its lambda:
+    stage by stage, the arithmetic and checks of a velocities call. The
+    current forms' imaginary parts do not depend on lambda, so they are
+    bounded once for all five rows; only if some row fails does each stage
+    check its own, in a velocities call's order."""
+    vals, shift = ahead or _forms_at(field, coeff0, m_e, t0, cells, t + _STAGE_C * h)
+    check = (field.symmetrization is Symmetrization.SYMMETRIC_AVERAGE
+             and any(bound > field._imag_tol for bound in field._current_form_bounds(vals)))
     rows = iter(_STAGE_ROW[1:])
-    return lambda t_i, lam: field._velocities_of(vals[next(rows)], lam, shift, cells, t_i)
+    return lambda t_i, lam: field._velocities_of(vals[next(rows)], lam, shift, cells, t_i,
+                                                 check)
 
 
 @dataclass
@@ -712,8 +753,13 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
                     rec[rec_i], rec_cells[rec_i] = y, cells
                     rec_i += 1
                     continue
+            ahead = None
             if f_now is None:
-                f_now = rhs(t, y)
+                # the fresh first stage and the stage forms of a step of h_try
+                # from one call; the step uses the latter if it keeps h_try
+                vals, shift = _forms_at(field, coeff0, m_e, t0, cells, t + _FRESH_C * h_try)
+                f_now = field._velocities_of(vals[0], y, shift, cells, t)
+                ahead = vals[1:], shift
             h_aim, now = _aim(float(h_try), y.tolist(), f_now.tolist(), cells, n_cells,
                               1e-14 * max(1.0, abs(t)))
             if now:
@@ -721,10 +767,10 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
                 f_now = None
                 continue
             if h_aim is not None and abs(h_aim) < abs(h_try):
-                h_try, clamped = h_aim, False
+                h_try, clamped, ahead = h_aim, False, None
 
-            y_new, err, k_last = _dp54_step(_stage_rhs(field, coeff0, m_e, t0, cells, t, h_try),
-                                            t, y, h_try, f_now)
+            y_new, err, k_last = _dp54_step(
+                _stage_rhs(field, coeff0, m_e, t0, cells, t, h_try, ahead), t, y, h_try, f_now)
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
             ratio = err / scale
             enorm = math.sqrt(ratio @ ratio / n_b)
@@ -789,10 +835,10 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
     their five new stage times at once, and each stage applies
     VelocityField._velocities_of to all live rows; a first stage that is
     not carried over from the last step is one stacked velocities call per
-    tuple. Every operation is row by row (elementwise, or a per-row product
-    inside _forms), so a row's result does not depend on the other rows of
-    the block: any split of an ensemble into blocks gives bit-identical
-    results.
+    tuple. Every operation is row by row (elementwise, a per-row product,
+    or the GEMM inside _forms, whose rows are bit-identical in any block),
+    so a row's result does not depend on the other rows of the block: any
+    split of an ensemble into blocks gives bit-identical results.
     """
     beable_set = field.beable_set
     n_b = len(beable_set)

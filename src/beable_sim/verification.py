@@ -5,12 +5,13 @@ projector L(lambda(t)) is a constant of the motion, so lambda(t) follows
 from monotone root-finding instead of ODE integration. That level-set
 solution, the two-state sign formula built on it, and a finite-difference
 continuity residual are the oracles everything else is checked against.
-The oracles take what they read: the level-set inversion an evolved state
-and the conserved level, the average-consistency check the expectation
-value. So a caller that probes many trajectories at one time evolves the
-state once for all of them and evaluates each trajectory's level once. The
-continuity residual gets the field's forms from one stacked probability
-call and one stacked currents call.
+The oracles take what they read: the level-set inversion the cell weights
+of an evolved state and the conserved level, the average-consistency check
+the expectation value. So a caller that probes many trajectories at one
+time evolves the state and takes its weights once for all of them, and
+evaluates each trajectory's level once. The continuity residual gets the
+field's forms from one stacked probability call and one stacked currents
+call.
 
 Ensemble runs draw initial configurations from the exact joint cell
 distribution (cell tuple from the enumerated distribution, then lambda
@@ -23,7 +24,12 @@ regardless of worker count.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import itertools
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -84,14 +90,22 @@ def level_expectation(state: QuantumState, b: BeableOperator, lam: float) -> flo
     return expectation(state, lower_projector(b, lam)).real
 
 
-def single_beable_levelset(state_t: QuantumState, b: BeableOperator, level0: float) -> float:
+def cell_weights(state: QuantumState, b: BeableOperator) -> np.ndarray:
+    """<t|P(n)|t> for every cell n of one beable, clipped at 0: what
+    single_beable_levelset inverts. One vector serves every trajectory
+    probed in the same state."""
+    return np.clip([expectation(state, p).real for p in b.projectors], 0.0, None)
+
+
+def single_beable_levelset(weights: np.ndarray, level0: float) -> float:
     """lambda(t) for one beable, by inverting <t|L(lambda)|t> = level0 in the
-    evolved state state_t, where level0 = <0|L(lambda0)|0> is the conserved
-    level of the start (see level_expectation).
+    evolved state, given by its cell weights (see cell_weights), where
+    level0 = <0|L(lambda0)|0> is the conserved level of the start (see
+    level_expectation).
 
     The level expectation is nondecreasing and piecewise linear in lambda,
-    so the inversion walks the cells of the cumulative projector weights.
-    This is the integration-free oracle for every L = 1 trajectory.
+    so the inversion walks the cells of the cumulative weights. This is the
+    integration-free oracle for every L = 1 trajectory.
     """
     if not -1e-10 <= level0 <= 1.0 + 1e-10:
         raise InputError(
@@ -99,19 +113,18 @@ def single_beable_levelset(state_t: QuantumState, b: BeableOperator, level0: flo
             "cell projectors are defective"
         )
     level0 = min(max(level0, 0.0), 1.0)
-    weights = np.array([expectation(state_t, p).real for p in b.projectors])
-    weights = np.clip(weights, 0.0, None)
+    n_cells = len(weights)
     cum = np.concatenate(([0.0], np.cumsum(weights)))
     cum /= cum[-1]
     n = int(np.searchsorted(cum, level0, side="right")) - 1
-    n = min(max(n, 0), b.n_cells - 1)
+    n = min(max(n, 0), n_cells - 1)
     width = cum[n + 1] - cum[n]
     if width <= 0.0:
         # degenerate flat cell: the level set collapses to its lower edge
         lam = n - 0.5
     else:
         lam = n - 0.5 + (level0 - cum[n]) / width
-    return float(min(max(lam, -0.5), b.n_cells - 0.5))
+    return float(min(max(lam, -0.5), n_cells - 0.5))
 
 
 @dataclass(frozen=True)
@@ -265,6 +278,54 @@ def _run_chunk(field: VelocityField, state0: QuantumState, times: np.ndarray,
     return counts, len(indices) - len(done)
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy links, or
+    None when its extension module exports no such symbols (another BLAS,
+    which keeps its own threading)."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:     # numpy 1.x
+        from numpy.core import _multiarray_umath
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_")):
+        get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Run the body with OpenBLAS at one thread, then restore the count.
+
+    An ensemble's parallelism is its worker processes. Pinned here, before
+    the pool forks, every worker inherits one thread; per-tuple GEMMs that
+    each started their own BLAS threads on top of the workers would
+    oversubscribe the cores. So the pool always forks, whatever the
+    platform's default start method (forkserver from Python 3.14 on
+    Linux): a worker started in a fresh interpreter would load OpenBLAS
+    with its default thread count. (Pinning inside each worker after the
+    fork was measured slower.)"""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 # The ensemble's fixed inputs, (field, state0, times, tuples, cum),
 # set once in each pool worker so that submitted blocks carry only their
 # seed, index range and tolerances; the worker's tuple cache persists
@@ -289,7 +350,9 @@ def ensemble_equivariance(field: VelocityField, state0: QuantumState, n: int,
     exact quantum distribution at each probe time.
 
     Node-aborted trajectories are excluded from the histograms but counted in
-    the report; they are never silently resampled.
+    the report; they are never silently resampled. The integration runs with
+    OpenBLAS pinned to one thread (see _single_threaded_blas), and the
+    process's BLAS thread count is restored afterwards, also on an error.
     """
     if n < 100:
         raise InputError("ensemble_equivariance needs n >= 100")
@@ -309,21 +372,23 @@ def ensemble_equivariance(field: VelocityField, state0: QuantumState, n: int,
     inputs = (field, state0, times, tuples, cum)
     counts = np.zeros((times.size, len(tuples)), dtype=np.int64)
     aborted = 0
-    if n_workers <= 1:
-        counts, aborted = _run_chunk(*inputs, seed, range(n), rtol, atol)
-    else:
-        chunk = math.ceil(n / n_workers)
-        blocks = [range(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        with ProcessPoolExecutor(max_workers=len(blocks), initializer=_init_worker,
-                                 initargs=inputs) as pool:
-            futures = [
-                pool.submit(_run_worker_chunk, seed, blk, rtol, atol)
-                for blk in blocks
-            ]
-            for fut in futures:
-                c, a = fut.result()
-                counts += c
-                aborted += a
+    with _single_threaded_blas():
+        if n_workers <= 1:
+            counts, aborted = _run_chunk(*inputs, seed, range(n), rtol, atol)
+        else:
+            chunk = math.ceil(n / n_workers)
+            blocks = [range(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+            with ProcessPoolExecutor(max_workers=len(blocks),
+                                     mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_init_worker, initargs=inputs) as pool:
+                futures = [
+                    pool.submit(_run_worker_chunk, seed, blk, rtol, atol)
+                    for blk in blocks
+                ]
+                for fut in futures:
+                    c, a = fut.result()
+                    counts += c
+                    aborted += a
 
     n_completed = n - aborted
     if n_completed > 0:

@@ -29,6 +29,15 @@ def multinomial_tv_bound(quantum_rows, n, seed, quantile=0.999, reps=2000):
     return worst
 
 
+def tuple_stack(field, cells):
+    """The tuple's stored operators [Pi, X_0..X_{L-1}, interior Y_ell] as a
+    (K, dim, dim) view of the (dim, K dim) matrix that _forms multiplies by,
+    so that writing to it changes the field."""
+    gemm = field._tuple_ops(cells)[0]
+    dim = gemm.shape[0]
+    return gemm.reshape(dim, -1, dim).transpose(1, 2, 0)
+
+
 def random_state(rng, dim, time=0.0):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return bs.QuantumState(v / np.linalg.norm(v), time=time)

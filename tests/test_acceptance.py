@@ -118,7 +118,7 @@ def test_criterion_3_levelset_agreement(capsys):
         assert res.status is bs.TrajectoryStatus.COMPLETED, f"system {k} aborted"
         for j, t in enumerate(times):
             oracle = bs.single_beable_levelset(
-                bs.evolve(state, prop, float(t)), b,
+                bs.cell_weights(bs.evolve(state, prop, float(t)), b),
                 bs.level_expectation(state, b, float(lam0.values[0])))
             worst = max(worst, abs(res.lambdas[j, 0] - oracle))
     announce(capsys, 3, worst <= 1e-5,

@@ -24,7 +24,7 @@ from beable_sim.dynamics import (
 from beable_sim.errors import InputError, NodeError, NumericError
 from beable_sim.verification import _draw_lambda, _initial_cdf
 
-from conftest import I2, SZ, random_hermitian, random_state
+from conftest import I2, SZ, random_hermitian, random_state, tuple_stack
 
 
 def two_qubit_set():
@@ -253,6 +253,15 @@ def full_operator_stack(field, cells):
     return np.stack([occupied @ occupied.conj().T] + ops[0] + ops[1])
 
 
+def gemm_forms(stack, rows):
+    """The forms of stack (K, dim, dim) for rows (n >= 2, dim) by the
+    contraction _forms makes: the images of every row from one GEMM, then
+    each row's images times its conjugate."""
+    dim = rows.shape[1]
+    images = rows @ stack.transpose(2, 0, 1).reshape(dim, -1)
+    return np.matmul(images.reshape(rows.shape[0], -1, dim), rows.conj()[:, :, None])[..., 0]
+
+
 def stacked_models(rng):
     """(name, field, state) for every preset and the random L = 3 set."""
     out = []
@@ -341,7 +350,7 @@ class TestStackedEvaluation:
         lam = np.array(cells, dtype=float)
         for symmetrization in Symmetrization:
             field = bs.VelocityField(bset, prop, symmetrization)
-            ops = field._tuple_ops(cells)[0]
+            ops = tuple_stack(field, cells)
             ops[1 + ell] += 1e-3j * np.eye(bset.dim)   # X_ell += i/1000, stored in every tuple
             if symmetrization is Symmetrization.SYMMETRIC_AVERAGE:
                 with pytest.raises(NumericError, match=f"current component {ell} "):
@@ -350,11 +359,37 @@ class TestStackedEvaluation:
                 # the ordered variant takes the real part by construction
                 field.velocities(coeff, lam, cells, 0.0)
 
+    @pytest.mark.parametrize("ell", [0, 2])
+    def test_roundoff_in_the_forms_passes_far_outside_the_cell(self, rng, ell):
+        # a DP45 stage input can lie 4e7 cells away; there u = 4e7 magnifies
+        # an imaginary roundoff of 1e-15 in X_ell to 4e-8 in J_ell, beyond the
+        # tolerance, but the forms themselves are Hermitian to roundoff
+        bset, prop, state = l3_commuting_model(rng)
+        clean = bs.VelocityField(bset, prop)
+        coeff = clean.state_coefficients(state)
+        tuples, probs = bs.quantum_distribution(state, bset)
+        cells = tuples[int(np.argmax(probs))]
+        lam = np.array(cells, dtype=float)
+        lam[ell] += 4e7
+        field = bs.VelocityField(bset, prop)
+        tuple_stack(field, cells)[1 + ell] += 1e-15j * np.eye(bset.dim)
+        assert 4e7 * 1e-15 * np.vdot(coeff, coeff).real > field._imag_tol
+        np.testing.assert_allclose(field.velocities(coeff, lam, cells, 0.0),
+                                   clean.velocities(coeff, lam, cells, 0.0), rtol=1e-12)
+        rows = np.stack([coeff, coeff * np.exp(-0.3j * prop.energies)])
+        np.testing.assert_allclose(field.velocities(rows, np.stack([lam, lam]), cells, 0.0),
+                                   clean.velocities(rows, np.stack([lam, lam]), cells, 0.0),
+                                   rtol=1e-12)
+
     @pytest.mark.parametrize("symmetrization", list(Symmetrization))
     def test_stack_keeps_only_interior_y_and_matches_the_full_stack(self, rng, symmetrization):
         # Y_ell is 0 in a bottom cell and -X_ell in a top cell, so a tuple
         # stores Pi, every X_ell and the Y_ell of its interior cells only;
-        # the velocities still equal u X + Y of the full stack bit for bit
+        # the velocities still equal u X + Y of the full stack bit for bit.
+        # The full stack's forms come from the same GEMM over the matrices the
+        # tuple stores, in its order: a GEMM's bits for one matrix can depend
+        # on the columns it sits at when dim is not a multiple of the BLAS
+        # kernel's width (seen at dim 6)
         two_qubit = build_model(parse_config({"preset": "two-qubit"}))
         models = [("two-qubit", two_qubit.beable_set, two_qubit.propagator,
                    bs.evolve(two_qubit.state0, two_qubit.propagator, 0.7)),
@@ -363,18 +398,36 @@ class TestStackedEvaluation:
         for name, bset, prop, state in models:
             field = bs.VelocityField(bset, prop, symmetrization)
             n_b = len(bset)
+            tops = [k - 1 for k in bset.cell_counts]
             coeff = field.state_coefficients(state)
             rows = coeff * np.exp(-1j * prop.energies * np.array([0.0, 0.3, 1.1])[:, None])
             checked = 0
             for cells in bs.all_cell_tuples(bset):
-                interior = sum(0 < n < k - 1 for n, k in zip(cells, bset.cell_counts))
-                assert field._tuple_ops(cells)[0].shape[0] == 1 + n_b + interior, (name, cells)
+                interior = [ell for ell, n in enumerate(cells) if 0 < n < tops[ell]]
                 full = full_operator_stack(field, cells)
+                kept = list(range(1 + n_b)) + [1 + n_b + ell for ell in interior]
+                np.testing.assert_array_equal(tuple_stack(field, cells), full[kept],
+                                              err_msg=f"{name} {cells}")
+                for ell, n in enumerate(cells):
+                    if n == 0:
+                        assert not full[1 + n_b + ell].any(), (name, cells, ell)
+                    elif n == tops[ell]:
+                        np.testing.assert_array_equal(full[1 + n_b + ell], -full[1 + ell])
+
+                def full_forms(rows):
+                    got = gemm_forms(full[kept], rows)
+                    out = np.zeros((rows.shape[0], 2 * n_b + 1), dtype=complex)
+                    out[:, :1 + n_b] = got[:, :1 + n_b]
+                    out[:, [1 + n_b + ell for ell in interior]] = got[:, 1 + n_b:]
+                    for ell, n in enumerate(cells):
+                        if 0 < n == tops[ell]:
+                            out[:, 1 + n_b + ell] = -got[:, 1 + ell]
+                    return out
+
                 shift = 0.5 - np.asarray(cells, dtype=float)
                 lam = np.array(cells) + rng.uniform(-0.5, 0.5, size=(rows.shape[0], n_b))
-                vals = (full @ coeff) @ coeff.conj()
-                stacked = np.matmul(np.matmul(full, rows[:, None, :, None])[..., 0],
-                                    rows.conj()[:, :, None])[..., 0]
+                vals = full_forms(np.stack([coeff, coeff]))[0]
+                stacked = full_forms(rows)
                 if min(vals[0].real, stacked[:, 0].real.min()) <= field.node_floor:
                     continue
                 want = ((lam[0] + shift) * vals[1:n_b + 1] + vals[n_b + 1:]).real / vals[0].real
@@ -387,6 +440,48 @@ class TestStackedEvaluation:
                 checked += 1
             # every tuple that holds a joint basis vector
             assert checked == len(set(map(tuple, bset.labels.T.tolist()))), name
+
+
+def row_independence_models(rng):
+    """(name, field, state) for the sigma_z chain at L = 5 and 6, the
+    number-operator and two-qubit presets and the random L = 3 set, whose
+    dim 6 is no multiple of the BLAS kernel's width."""
+    bset, prop, state = l3_commuting_model(rng)
+    out = [("random-l3", bs.VelocityField(bset, prop), state)]
+    for n in (5, 6):
+        bset, prop, state = sigma_z_chain(rng, n)
+        out.append((f"sigma-z-{n}", bs.VelocityField(bset, prop), state))
+    for name in ("number-operator", "two-qubit"):
+        m = build_model(parse_config({"preset": name}))
+        out.append((name, m.field, m.state0))
+    return out
+
+
+class TestFormsRowIndependence:
+    """_forms takes a tuple's images for all rows from one GEMM. A row's
+    forms must not depend on the rows around it: every slice of a 1500-row
+    block (which OpenBLAS may split over threads), and every single 1-D
+    call, gives that row's forms bit for bit."""
+
+    SIZES = list(range(1, 71)) + [255, 256, 257, 700]
+    OFFSETS = (0, 3, 17)
+
+    def test_rows_match_their_rows_of_a_large_block(self, rng):
+        for name, field, state in row_independence_models(rng):
+            coeff0 = field.state_coefficients(state)
+            block = coeff0 * np.exp(-1j * field.propagator.energies
+                                    * rng.uniform(0.0, 3.0, size=(1500, 1)))
+            tuples = bs.all_cell_tuples(field.beable_set)
+            for cells in (tuples[0], tuples[len(tuples) // 2], tuples[-1]):
+                whole = field._forms(block, cells)[0]
+                for n in self.SIZES:
+                    for lo in self.OFFSETS:
+                        np.testing.assert_array_equal(
+                            field._forms(block[lo:lo + n], cells)[0], whole[lo:lo + n],
+                            err_msg=f"{name} {cells} rows {lo}..{lo + n - 1}")
+                for i in (0, 1, 2, 17, 256, 1499):
+                    np.testing.assert_array_equal(field._forms(block[i], cells)[0], whole[i],
+                                                  err_msg=f"{name} {cells} row {i} alone")
 
 
 BLOCK_TOL = dict(rtol=1e-7, atol=1e-9)     # the ensemble tolerances
@@ -545,7 +640,7 @@ class TestBlockIntegration:
         starts = np.array(cells) + rng.uniform(-0.1, 0.1, size=(5, len(cells)))
         for symmetrization in Symmetrization:
             field = bs.VelocityField(bset, prop, symmetrization)
-            ops = field._tuple_ops(cells)[0]
+            ops = tuple_stack(field, cells)
             ops[1 + 1] += 1e-3j * np.eye(bset.dim)   # X_1 += i/1000, stored in every tuple
             if symmetrization is Symmetrization.SYMMETRIC_AVERAGE:
                 with pytest.raises(NumericError, match="current component 1 "):
@@ -686,12 +781,14 @@ class TestDormandPrinceStep:
         assert np.array_equal(k7, rhs(t + h, y_new))
 
     @staticmethod
-    def step_outcome(field, coeff0, t0, cells, t, y, h, batched):
+    def step_outcome(field, coeff0, t0, cells, t, y, h, batched, k1=None):
         """_dp54_step from (t, y) in cells, its stages from the batched forms
         or from one velocities call per stage: (y_new, err, last stage), or
-        the NodeError's (cells, probability, time)."""
+        the NodeError's (cells, probability, time). The first stage is k1,
+        else one velocities call at t."""
         m_e = -1j * field._energies
-        k1 = field.velocities(coeff0 * np.exp(m_e * (t - t0)), y, cells, t)
+        if k1 is None:
+            k1 = field.velocities(coeff0 * np.exp(m_e * (t - t0)), y, cells, t)
         if batched:
             rhs = _stage_rhs(field, coeff0, m_e, t0, cells, t, h)
         else:
@@ -734,6 +831,31 @@ class TestDormandPrinceStep:
         assert outcomes[0] == outcomes[1]
         cells, p, when = outcomes[1]
         assert cells == (1,) and p <= 0.2 and when == t + 0.3 * h
+
+    @pytest.mark.parametrize("ell", [0, 2])
+    def test_batched_stages_check_the_current_forms(self, rng, ell):
+        # the batched stages bound the forms once per step; a defect in X_ell
+        # must still raise the error of one velocities call per stage
+        bset, prop, state = l3_commuting_model(rng)
+        tuples, probs = bs.quantum_distribution(state, bset)
+        cells = tuples[int(np.argmax(probs))]
+        lam = np.array(cells, dtype=float)
+        t, h = 0.4, 0.05
+        for symmetrization in Symmetrization:
+            field = bs.VelocityField(bset, prop, symmetrization)
+            coeff0 = field.state_coefficients(state)
+            k1 = field.velocities(coeff0 * np.exp(-1j * field._energies * t), lam, cells, t)
+            tuple_stack(field, cells)[1 + ell] += 1e-3j * np.eye(bset.dim)
+            if symmetrization is Symmetrization.SYMMETRIC_AVERAGE:
+                messages = []
+                for batched in (False, True):
+                    with pytest.raises(NumericError, match=f"current component {ell} ") as err:
+                        self.step_outcome(field, coeff0, 0.0, cells, t, lam, h, batched, k1)
+                    messages.append(str(err.value))
+                assert messages[0] == messages[1]
+            else:
+                # the ordered variant takes the real part by construction
+                self.step_outcome(field, coeff0, 0.0, cells, t, lam, h, True, k1)
 
 
 class TestIntegrateTrajectory:

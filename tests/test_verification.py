@@ -8,10 +8,10 @@ import beable_sim as bs
 import beable_sim.verification as verification
 from beable_sim.config import build_model, parse_config
 from beable_sim.dynamics import _integrate_block
-from beable_sim.errors import InputError
+from beable_sim.errors import InputError, NumericError
 from beable_sim.verification import _draw_lambda, _initial_cdf, _resolve_workers
 
-from conftest import SZ, multinomial_tv_bound, random_hermitian, random_state
+from conftest import SZ, multinomial_tv_bound, random_hermitian, random_state, tuple_stack
 
 
 class TestSampleInitial:
@@ -112,15 +112,16 @@ class TestSingleBeableLevelset:
         b = bs.from_hermitian(h)
         state = random_state(rng, 5)
         for t in (0.0, 1.7, 8.0):
-            lam = bs.single_beable_levelset(bs.evolve(state, prop, t), b,
+            lam = bs.single_beable_levelset(bs.cell_weights(bs.evolve(state, prop, t), b),
                                             bs.level_expectation(state, b, 0.3))
             assert lam == pytest.approx(0.3, abs=1e-10)
 
     def test_bottom_boundary_fixed_point(self, rabi):
         state = bs.QuantumState(np.array([1.0, 1.0]) / np.sqrt(2))
         for t in (0.0, 0.9, 2.5):
-            lam = bs.single_beable_levelset(bs.evolve(state, rabi.propagator, t), rabi.beable,
-                                            bs.level_expectation(state, rabi.beable, -0.5))
+            lam = bs.single_beable_levelset(
+                bs.cell_weights(bs.evolve(state, rabi.propagator, t), rabi.beable),
+                bs.level_expectation(state, rabi.beable, -0.5))
             assert lam == pytest.approx(-0.5, abs=1e-12)
 
     def test_matches_sign_formula(self, rabi):
@@ -135,7 +136,8 @@ class TestSingleBeableLevelset:
             lam0 = 1.0 - xi0 / 2.0  # L0 = (1 - xi0)/2 inside cell 1
             oracle = bs.TwoStateOracle(omega=rabi.omega, xi0=xi0)
             lam_t = bs.single_beable_levelset(
-                rabi.state(t), rabi.beable, bs.level_expectation(rabi.state0, rabi.beable, lam0))
+                bs.cell_weights(rabi.state(t), rabi.beable),
+                bs.level_expectation(rabi.state0, rabi.beable, lam0))
             xi_levelset = bs.eigenvalue_at(rabi.beable, lam_t)
             if xi_levelset != bs.two_state_solution(oracle, t):
                 disagreements += 1
@@ -144,13 +146,13 @@ class TestSingleBeableLevelset:
     def test_out_of_domain_lambda_rejected(self, rabi):
         from beable_sim.errors import NumericError
         with pytest.raises(NumericError):
-            bs.single_beable_levelset(rabi.state(1.0), rabi.beable,
+            bs.single_beable_levelset(bs.cell_weights(rabi.state(1.0), rabi.beable),
                                       bs.level_expectation(rabi.state0, rabi.beable, 3.7))
 
     def test_level_outside_unit_interval_rejected(self, rabi):
         for level0 in (-1e-6, 1.0 + 1e-6):
             with pytest.raises(InputError):
-                bs.single_beable_levelset(rabi.state0, rabi.beable, level0)
+                bs.single_beable_levelset(bs.cell_weights(rabi.state0, rabi.beable), level0)
 
 
 class TestAverageConsistency:
@@ -323,12 +325,14 @@ class TestEnsembleEquivariance:
 
     def test_pool_has_one_worker_per_block(self, rabi, monkeypatch):
         # 100 trajectories at 11 workers make 10 blocks of 10; an in-process
-        # stand-in for the pool records its size
+        # stand-in for the pool records its size and checks that the pool
+        # would fork its workers
         sizes = []
 
         class InlinePool:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers, mp_context, initializer, initargs):
                 sizes.append(max_workers)
+                assert mp_context.get_start_method() == "fork"
                 initializer(*initargs)
 
             def __enter__(self):
@@ -382,6 +386,53 @@ class TestEnsembleEquivariance:
                                        rtol=1e-7, atol=1e-9, workers=1)
         assert rep.n_completed == 100
         assert np.all(rep.tv_distance <= multinomial_tv_bound(rep.quantum, rep.n_completed, seed=1))
+
+
+BLAS_THREADS = verification._openblas_threads()
+
+
+def blas_threads():
+    return BLAS_THREADS[0]()
+
+
+@pytest.mark.skipif(BLAS_THREADS is None,
+                    reason="numpy's BLAS exports no OpenBLAS thread-count symbols")
+class TestSingleThreadedBlas:
+    """An ensemble runs with OpenBLAS at one thread, set in this process
+    before the pool forks, and restores the count it found."""
+
+    @pytest.fixture(autouse=True)
+    def two_threads(self):
+        get, put = BLAS_THREADS
+        before = get()
+        put(2)
+        yield
+        put(before)
+
+    def test_pinned_inside_and_restored_after(self):
+        with verification._single_threaded_blas():
+            assert blas_threads() == 1
+        assert blas_threads() == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_block_runs_at_one_thread(self, rabi, monkeypatch, workers):
+        def chunk(field, state0, times, tuples, cum, seed, indices, rtol, atol):
+            # in a pool worker at workers = 2; the count comes back as "aborted"
+            return np.zeros((times.size, len(tuples)), dtype=np.int64), blas_threads()
+
+        monkeypatch.setattr(verification, "_run_chunk", chunk)
+        rep = bs.ensemble_equivariance(rabi.field, rabi.state0, 100, [0.5], seed=1,
+                                       workers=workers)
+        assert rep.node_aborted_count == workers     # one block per worker, at 1 thread
+        assert blas_threads() == 2
+
+    def test_restored_when_the_ensemble_raises(self):
+        m = build_model(parse_config({"preset": "two-qubit"}))
+        for cells in bs.all_cell_tuples(m.beable_set):
+            tuple_stack(m.field, cells)[1] += 1e-3j * np.eye(m.beable_set.dim)
+        with pytest.raises(NumericError, match="current component 0 "):
+            bs.ensemble_equivariance(m.field, m.state0, 100, [0.5], seed=1, workers=1)
+        assert blas_threads() == 2
 
 
 class TestFlipTimeEncoding:
