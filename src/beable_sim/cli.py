@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -35,9 +36,12 @@ from .verification import ensemble_equivariance, sample_initial
 
 def _float_list(text: str, what: str) -> list:
     try:
-        return [float(piece) for piece in text.split(",") if piece.strip() != ""]
+        values = [float(piece) for piece in text.split(",") if piece.strip() != ""]
     except ValueError as exc:
         raise InputError(f"could not parse {what} '{text}': {exc}") from exc
+    if not all(map(math.isfinite, values)):
+        raise InputError(f"{what} must hold finite numbers, got '{text}'")
+    return values
 
 
 def _write_csv(path, header, rows):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -161,10 +162,15 @@ def _field_preset(value, section: str):
 
 
 def _number(value, what: str) -> float:
+    """value as a finite float; NaN and infinities fail every later check
+    (NaN compares false) or never finish, so they are rejected here."""
     try:
-        return float(value)
+        out = float(value)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{what} must be a number, got {value!r}") from exc
+    if not math.isfinite(out):
+        raise InputError(f"{what} must be a finite number, got {value!r}")
+    return out
 
 
 def _integer(value, what: str) -> int:

@@ -28,9 +28,13 @@ unchanged; a rejected one shrinks it like any rejected step.
 A step holds its cells and the state advances by known phases, so the
 forms that P and J are made of depend on neither lambda nor the trajectory
 and are known at all five new stage times t + c h of a step before it
-starts. Both integrators take them from one stacked product per cell tuple
-and step; each stage then only combines them with its own lambda, with the
-arithmetic and checks of a velocity call.
+starts. The one-trajectory integrator takes them from one stacked product
+per step; the ensemble block reads them from per-tuple Chebyshev tables in
+time (see tables.FormTables), which differ from the direct forms only by
+roundoff.
+Either way the five stage rows are checked once per step, with the outcome
+of one velocity call per stage (_stage_nodes), and each stage then only
+combines its row with its own lambda.
 
 P, the cell distribution and J are built in the beables' joint eigenbasis,
 where cell projectors are 0/1 masks, and evaluated in the Hamiltonian
@@ -50,6 +54,7 @@ import numpy as np
 from .beables import BeableSet, LambdaConfig, cell_index, current_operator
 from .errors import InputError, NodeError, NumericError
 from .linalg import Propagator, QuantumState
+from .tables import FormTables
 
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
@@ -258,9 +263,9 @@ class VelocityField:
     L + 1 matrices, not 2L + 1, and its Y forms are read off its X forms.
 
     The forms depend only on the tuple and the state, never on lambda, so
-    the integrators take them for many rows and stage times from one
-    _forms call and apply _velocities_of, which holds the checks that
-    velocities makes, one stage at a time.
+    the integrators take them for many stage times at once (from one
+    _forms call, or from tables in time filled by _forms calls) and check
+    and combine them with each stage's lambda themselves.
     """
 
     def __init__(self, beable_set: BeableSet, propagator: Propagator,
@@ -287,6 +292,8 @@ class VelocityField:
         self._rotation = v.conj().T @ beable_set.basis
         self._h_joint = (self._rotation.conj().T * e) @ self._rotation
         self._imag_tol = CURRENT_IMAG_TOL * max(1.0, float(np.max(np.abs(e))) if e.size else 1.0)
+        # the ordered variant takes the real part by construction and never checks
+        self._checks_currents = self.symmetrization is Symmetrization.SYMMETRIC_AVERAGE
         self._tuple_cache = {}
 
     def state_coefficients(self, state: QuantumState) -> np.ndarray:
@@ -374,6 +381,11 @@ class VelocityField:
         return (vals[0] if coeff.ndim == 1 else vals), shift
 
     @staticmethod
+    def _check_probability_imag(imag: float):
+        if imag > 1e-10:
+            raise NumericError(f"probability has imaginary part {imag:.3e}")
+
+    @staticmethod
     def _probability_of(vals: np.ndarray):
         if vals.ndim == 1:
             p = vals[0]
@@ -381,31 +393,36 @@ class VelocityField:
         else:
             p = vals[:, 0]
             imag = np.abs(p.imag).max()
-        if imag > 1e-10:
-            raise NumericError(f"probability has imaginary part {imag:.3e}")
+        VelocityField._check_probability_imag(imag)
         return p.real
 
-    def _current_form_bounds(self, vals: np.ndarray) -> list:
-        """|Im X_ell| + |Im Y_ell| per component ell, the largest over the rows
-        of vals: a bound on |Im J_ell| for u_ell in [0, 1]."""
+    def _current_form_bounds(self, im: np.ndarray) -> np.ndarray:
+        """|Im X_ell| + |Im Y_ell| from im = |Im forms| (..., 2L + 1), per row
+        and component: a bound on |Im J_ell| for u_ell in [0, 1]."""
         n_b = self.n_beables
-        im = np.abs(vals.imag)
-        return (im[..., 1:n_b + 1] + im[..., n_b + 1:]).reshape(-1, n_b).max(axis=0).tolist()
+        return im[..., 1:n_b + 1] + im[..., n_b + 1:]
 
-    def _currents_of(self, vals: np.ndarray, lam, shift: np.ndarray,
-                     check: bool = True) -> np.ndarray:
-        """J_ell = u_ell Re X_ell + Re Y_ell. With check (and the symmetric
-        average), the imaginary parts are checked on the forms, not on J: a
-        DP45 stage input far outside its cell (u up to 1e9) would otherwise
-        magnify roundoff in Im X_ell past the bound."""
+    def _check_current_bounds(self, bounds):
+        """Raise for the first component whose bound (one per component,
+        the largest over the rows) exceeds the tolerance; only the
+        symmetric average checks."""
+        if not self._checks_currents:
+            return
+        for ell, bound in enumerate(bounds):
+            if bound > self._imag_tol:
+                raise NumericError(
+                    f"current component {ell} has imaginary part {bound:.3e} "
+                    "(|Im X| + |Im Y| of its forms)"
+                )
+
+    def _currents_of(self, vals: np.ndarray, lam, shift: np.ndarray) -> np.ndarray:
+        """J_ell = u_ell Re X_ell + Re Y_ell. The imaginary parts are checked
+        on the forms, not on J: a DP45 stage input far outside its cell (u
+        up to 1e9) would otherwise magnify roundoff in Im X_ell past the
+        bound."""
         n_b = self.n_beables
-        if check and self.symmetrization is Symmetrization.SYMMETRIC_AVERAGE:
-            for ell, bound in enumerate(self._current_form_bounds(vals)):
-                if bound > self._imag_tol:
-                    raise NumericError(
-                        f"current component {ell} has imaginary part {bound:.3e} "
-                        "(|Im X| + |Im Y| of its forms)"
-                    )
+        bounds = self._current_form_bounds(np.abs(vals.imag))
+        self._check_current_bounds(bounds.reshape(-1, n_b).max(axis=0).tolist())
         re = vals.real
         return (lam + shift) * re[..., 1:n_b + 1] + re[..., n_b + 1:]
 
@@ -429,26 +446,22 @@ class VelocityField:
         vals, shift = self._forms(coeff, cells)
         return self._velocities_of(vals, lam, shift, cells, time)
 
-    def _velocities_of(self, vals: np.ndarray, lam, shift, cells, time,
-                       check_currents: bool = True) -> np.ndarray:
+    def _velocities_of(self, vals: np.ndarray, lam, shift, cells, time) -> np.ndarray:
         """v = J / P from forms of one tuple, checked in this order: P's
         imaginary part, the node floor, the current forms' imaginary parts
-        (see _currents_of; skipped without check_currents, for forms already
-        known to pass). vals (2L + 1,) with lam (L,) is one configuration.
-        vals (n, 2L + 1) with lam (n, L) is a stack of rows; shift (L,) or
-        (n, L), cells one tuple or (n, L) and time a float or (n,) may differ
-        between rows, and a NodeError names the first row at a node in
-        ``row``."""
+        (see _currents_of). vals (2L + 1,) with lam (L,) is one
+        configuration. vals (n, 2L + 1) with lam (n, L) is a stack of rows,
+        whose time, a float or (n,), may differ between rows; a NodeError
+        names the first row at a node in ``row``."""
         p = self._probability_of(vals)
         if vals.ndim == 1:
             if p <= self.node_floor:
                 raise NodeError(cells, p, time)
-            return self._currents_of(vals, lam, shift, check_currents) / p
+            return self._currents_of(vals, lam, shift) / p
         low = np.flatnonzero(p <= self.node_floor)
         if low.size:
             row = int(low[0])
-            raise NodeError(cells if isinstance(cells, tuple) else cells[row], p[row],
-                            time if np.ndim(time) == 0 else time[row], row=row)
+            raise NodeError(cells, p[row], time if np.ndim(time) == 0 else time[row], row=row)
         return self._currents_of(vals, lam, shift) / p[:, None]
 
 
@@ -485,9 +498,9 @@ _DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22
 _STAGE_C = np.array(_DP_C[1:6])
 _FRESH_C = np.array(_DP_C[:6])
 _STAGE_ROW = (None, 0, 1, 2, 3, 4, 4)
-# rows per stage-batched _forms call in an ensemble block: the call's
-# temporaries grow as rows x 5 x (stacked operators) x dim, which the largest blocks
-# would otherwise hold all at once
+# rows per table evaluation in an ensemble block: its temporaries grow as
+# rows x 5 x (2L + 1), which the largest blocks would otherwise hold all at
+# once
 _FORMS_ROWS = 256
 
 
@@ -515,22 +528,61 @@ def _forms_at(field: VelocityField, coeff0: np.ndarray, m_e: np.ndarray, t0: flo
     return field._forms(coeff0 * np.exp(m_e * (times - t0)[:, None]), cells)
 
 
+def _stage_nodes(field: VelocityField, p: np.ndarray, vals=None):
+    """Check the stage rows of a step for m rows at once, with the outcome
+    of one velocities call per stage over the rows still live: each stage
+    checks P's imaginary part, then the node floor, then the current forms'
+    imaginary parts (see _currents_of), and a row at a node leaves the later
+    stages. p (S, m) holds Re P and vals the forms (S, m, 2L + 1), or None
+    for forms whose imaginary parts are known to pass. Returns each row's
+    first stage at a node (S if none), or None when every row passes every
+    stage; raises the NumericError of the first stage call that would
+    fail."""
+    symmetric = field._checks_currents
+    if p.min() > field.node_floor and (
+            vals is None
+            # |Im P| and |Im X| + |Im Y| (tolerance >= 1e-9) within bounds
+            or np.abs((vals if symmetric else vals[..., :1]).imag).max() <= 1e-10):
+        return None
+    n_stages = p.shape[0]
+    node = p <= field.node_floor
+    first = np.where(node.any(axis=0), node.argmax(axis=0), n_stages)
+    if vals is not None:
+        im = np.abs(vals.imag)
+        imag, bounds = im[..., 0], field._current_form_bounds(im)
+        stage = np.arange(n_stages)[:, None]
+        # the rows each stage call sees, before and after its node aborts
+        seen, kept = stage <= first, stage < first
+        for s in range(n_stages):
+            field._check_probability_imag(imag[s, seen[s]].max(initial=0.0))
+            if symmetric:
+                field._check_current_bounds(bounds[s, kept[s]].max(axis=0, initial=0.0).tolist())
+    return first
+
+
 def _stage_rhs(field: VelocityField, coeff0: np.ndarray, m_e: np.ndarray, t0: float,
                cells: tuple, t, h, ahead=None):
     """The right-hand side of one _dp54_step from t with step h, in the
     cells the step holds. The forms at all five new stage times come from
     one stacked call (see _forms_at), unless ahead already holds them as
-    (vals, shift), and each stage only combines its row with its lambda:
-    stage by stage, the arithmetic and checks of a velocities call. The
-    current forms' imaginary parts do not depend on lambda, so they are
-    bounded once for all five rows; only if some row fails does each stage
-    check its own, in a velocities call's order."""
+    (vals, shift). Their checks run once for the step (_stage_nodes, as in
+    the block path), and each stage only combines its row with its lambda;
+    the stage at the step's first node raises that NodeError."""
     vals, shift = ahead or _forms_at(field, coeff0, m_e, t0, cells, t + _STAGE_C * h)
-    check = (field.symmetrization is Symmetrization.SYMMETRIC_AVERAGE
-             and any(bound > field._imag_tol for bound in field._current_form_bounds(vals)))
+    re = vals.real
+    p = re[:, 0]
+    first = _stage_nodes(field, p[:, None], vals[:, None])
+    node_row = -1 if first is None else int(first[0])
+    n_b = field.n_beables
+    xs, ys = re[:, 1:n_b + 1], re[:, n_b + 1:]
     rows = iter(_STAGE_ROW[1:])
-    return lambda t_i, lam: field._velocities_of(vals[next(rows)], lam, shift, cells, t_i,
-                                                 check)
+
+    def rhs(t_i, lam):
+        row = next(rows)
+        if row == node_row:
+            raise NodeError(cells, p[row], t_i)
+        return ((lam + shift) * xs[row] + ys[row]) / p[row]
+    return rhs
 
 
 @dataclass
@@ -830,15 +882,19 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
     more than CROSSING_TOL is retried, shortened to the first contact of its
     Hermite interpolant. (3) One that escapes by at most CROSSING_TOL is
     accepted and snapped into the next cell. Crossing rows stay in the
-    block: each lockstep iteration makes one _forms call per cell tuple
-    among the stepping rows (per _FORMS_ROWS rows in a larger group) for
-    their five new stage times at once, and each stage applies
-    VelocityField._velocities_of to all live rows; a first stage that is
-    not carried over from the last step is one stacked velocities call per
-    tuple. Every operation is row by row (elementwise, a per-row product,
-    or the GEMM inside _forms, whose rows are bit-identical in any block),
-    so a row's result does not depend on the other rows of the block: any
-    split of an ensemble into blocks gives bit-identical results.
+    block. Each lockstep iteration reads the forms of every stepping row at
+    its five new stage times from the Chebyshev tables of FormTables over
+    [t0, last record time] (one vectorised evaluation per _FORMS_ROWS rows),
+    checks the five stage rows once in stage order (_stage_nodes: the
+    errors, node aborts and abort times of one velocities call per stage),
+    drops the rows at a node and runs the six stages as array arithmetic.
+    A first stage that is not carried over from the last step is one
+    stacked VelocityField.velocities call per tuple. A table depends only
+    on its tuple, panel and the span, and every other operation is row by
+    row (elementwise, a per-row product, or the GEMM inside _forms, whose
+    rows are bit-identical in any block), so a row's result does not depend
+    on the other rows of the block: any split of an ensemble into blocks
+    gives bit-identical results.
     """
     beable_set = field.beable_set
     n_b = len(beable_set)
@@ -906,6 +962,7 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
             settle(f, ok, rows, pos, lambda p: field.velocities(coeff[p], ys[p], tup, ts[p]))
         return f, ok
 
+    tables = FormTables(field, coeff0, t0, record_times[-1] if n_rec else t0)
     t = np.full(n, t0)
     f = np.zeros_like(y)
     fresh = np.zeros(n, dtype=bool)
@@ -954,38 +1011,51 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
         if not act.size:
             continue
 
-        # the forms at the five new stage times of every stepping row, one
-        # _forms call per cell tuple among them (per _FORMS_ROWS rows)
-        ya = y[act]
+        # the forms at the five new stage times of every stepping row, from
+        # the tables (per _FORMS_ROWS rows), and their checks in stage order
         frozen = cells[act]
         stage_t = ta[:, None] + _STAGE_C * h_try[:, None]
-        # coeff0 * exp(m_e (t - t0)) in place, one (rows, 5, dim) array
-        coeff = m_e * (stage_t - t0)[..., None]
-        np.multiply(coeff0, np.exp(coeff, out=coeff), out=coeff)
-        forms = np.empty((_STAGE_C.size, act.size, 2 * n_b + 1), dtype=complex)
-        shift = np.empty((act.size, n_b))
-        for group, tup in groups(act):
-            for lo in range(0, group.size, _FORMS_ROWS):
-                pos = group[lo:lo + _FORMS_ROWS]
-                vals, shift[pos] = field._forms(coeff[pos].reshape(-1, coeff0.size), tup)
-                forms[:, pos] = vals.reshape(pos.size, _STAGE_C.size, -1).swapaxes(0, 1)
+        rows, x = tables.locate(code[act], stage_t)
+        rows, x = rows.T, x.T                   # (5, rows): stage-major
+        forms = np.empty((_STAGE_C.size, act.size, 2 * n_b + 1))
+        imag = None if tables.clean[rows].all() else np.empty_like(forms)
+        for lo in range(0, act.size, _FORMS_ROWS):
+            pos = slice(lo, lo + _FORMS_ROWS)
+            at_rows, at_x = rows[:, pos].ravel(), x[:, pos].ravel()
+            forms[:, pos] = tables.evaluate(tables.re, at_rows, at_x).reshape(
+                _STAGE_C.size, -1, forms.shape[2])
+            if imag is not None:
+                imag[:, pos] = tables.evaluate(tables.im, at_rows, at_x).reshape(
+                    _STAGE_C.size, -1, forms.shape[2])
+        p_stage = forms[..., 0]
+        first = _stage_nodes(field, p_stage, None if imag is None else forms + 1j * imag)
+        if first is not None:
+            live = first == _STAGE_C.size
+            for pos in np.flatnonzero(~live).tolist():
+                at_node = int(first[pos])
+                abort(int(act[pos]), NodeError(frozen[pos], p_stage[at_node, pos],
+                                               stage_t[pos, at_node]))
+            act, ta, target, h_try, clamped, frozen = (
+                a[live] for a in (act, ta, target, h_try, clamped, frozen))
+            forms = forms[:, live]
+            if not act.size:
+                continue
 
-        # the Dormand-Prince stages; a row that meets a node leaves `live`
+        # the Dormand-Prince stages, as array arithmetic on the live rows
+        ya = y[act]
+        shift = 0.5 - frozen
         hcol = h_try[:, None]
         k = [f[act]]
-        live = np.ones(act.size, dtype=bool)
         for i in range(1, 7):
             yi = ya + hcol * _tableau_sum(_DP_A[i], k)
-            k.append(np.zeros_like(ya))
-            vals, ts = forms[_STAGE_ROW[i]], stage_t[:, _STAGE_ROW[i]]
-            settle(k[i], live, act, np.flatnonzero(live), lambda p: field._velocities_of(
-                vals[p], yi[p], shift[p], frozen[p], ts[p]))
+            vals = forms[_STAGE_ROW[i]]
+            k.append(((yi + shift) * vals[:, 1:n_b + 1] + vals[:, n_b + 1:]) / vals[:, :1])
         y_new = yi
         scale = atol + rtol * np.maximum(np.abs(ya), np.abs(y_new))
         ratio = hcol * _tableau_sum(_DP_ERR, k) / scale
         enorm = np.sqrt((ratio * ratio).sum(axis=1) / n_b)
 
-        rejected = live & (enorm > 1.0)
+        rejected = enorm > 1.0
         if rejected.any():
             h_new = h_try[rejected] * np.maximum(0.2, 0.9 * enorm[rejected] ** -0.2)
             tiny = np.flatnonzero(
@@ -997,7 +1067,7 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
                 )
             h[act[rejected]] = h_new
 
-        accepted = live & ~rejected
+        accepted = ~rejected
         excess = np.maximum(y_new - (frozen + 0.5), (frozen - 0.5) - y_new).max(axis=1)
         for pos in np.flatnonzero(accepted & (excess > CROSSING_TOL)).tolist():
             retry[act[pos]] = _retry_step(ya[pos], y_new[pos], k[0][pos], k[6][pos], h_try[pos],

@@ -359,6 +359,8 @@ def ensemble_equivariance(field: VelocityField, state0: QuantumState, n: int,
     times = np.sort(np.asarray(times, dtype=float))
     if times.size == 0:
         raise InputError("at least one probe time is required")
+    if not np.isfinite(times).all():
+        raise InputError(f"probe times must be finite, got {times.tolist()}")
     if times[0] < state0.time:
         raise InputError("probe times must not precede the initial state time")
     n_workers = min(_resolve_workers(workers), n)

@@ -277,3 +277,26 @@ def test_a_rejected_run_leaves_no_output_directory(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, override", [
+    (["ensemble", "--trajectories", "100", "--times", "nan"], None),
+    (["ensemble", "--trajectories", "100", "--times", "1.0,inf"], None),
+    (["simulate"], {"run": {"t_final": float("inf")}}),
+    (["simulate"], {"run": {"t_final": float("nan")}}),
+    (["simulate"], {"run": {"output_dt": float("nan")}}),
+    (["ensemble", "--trajectories", "100"], {"dynamics": {"rtol": float("nan")}}),
+    (["ensemble", "--trajectories", "100"], {"dynamics": {"node_floor": float("nan")}}),
+], ids=["times-nan", "times-inf", "t_final-inf", "t_final-nan", "output_dt-nan",
+        "rtol-nan", "node_floor-nan"])
+def test_a_non_finite_number_exits_one(tmp_path, capsys, argv, override):
+    # NaN passes every `<=` check and an infinite time is never reached, so
+    # each must be rejected by name before anything runs
+    cfg = write_config(tmp_path, {"preset": "two-state-rabi", **(override or {})})
+    out = tmp_path / "out"
+    assert main([argv[0], "--config", cfg, *argv[1:], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    key = "--times" if override is None else next(iter(next(iter(override.values()))))
+    assert key in err and "finite" in err
+    assert not out.exists()

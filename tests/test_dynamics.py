@@ -13,15 +13,19 @@ from beable_sim.dynamics import (
     _aim_rows,
     _dp54_step,
     _escapes,
+    _forms_at,
     _integrate_block,
     _integrate_on_grid,
     _ordering_weights,
     _output_grid,
     _retry_step,
+    _STAGE_C,
+    _stage_nodes,
     _stage_rhs,
     _subset_weights,
 )
 from beable_sim.errors import InputError, NodeError, NumericError
+from beable_sim.tables import FormTables
 from beable_sim.verification import _draw_lambda, _initial_cdf
 
 from conftest import I2, SZ, random_hermitian, random_state, tuple_stack
@@ -580,6 +584,21 @@ class TestBlockIntegration:
                 chunked = _integrate_block(field, state0, starts, times, **BLOCK_TOL)
             assert_rows_identical(chunked, whole)
 
+    def test_rows_do_not_depend_on_dropped_tables(self, rng, monkeypatch):
+        # number-operator's span holds 62 panels in 8 windows; with room for
+        # 16 panels the tables are dropped and refilled over and over
+        import beable_sim.tables as tab
+
+        for name, field, state0, times in block_models(rng):
+            if name != "number-operator":
+                continue
+            starts = seeded_starts(field, state0, 30, seed=7)
+            whole = _integrate_block(field, state0, starts, times, **BLOCK_TOL)
+            with monkeypatch.context() as patch:
+                patch.setattr(tab, "_TABLE_PANELS", 16)
+                dropped = _integrate_block(field, state0, starts, times, **BLOCK_TOL)
+            assert_rows_identical(dropped, whole)
+
     def test_stacked_velocities_match_single_calls(self, rng):
         for name, field, state in stacked_models(rng):
             coeff0 = field.state_coefficients(state)
@@ -648,6 +667,33 @@ class TestBlockIntegration:
             else:
                 # the ordered variant takes the real part by construction
                 _integrate_block(field, state, starts, [0.5], **BLOCK_TOL)
+
+    def test_a_defect_that_appears_after_the_start_raises(self, rng):
+        # an anti-Hermitian defect in X_1 whose form has no imaginary part at
+        # t = 0, so the fresh first stages pass and only the stage forms,
+        # read from the tables, can see it
+        bset, prop, state = l3_commuting_model(rng)
+        tuples, probs = bs.quantum_distribution(state, bset)
+        cells = tuples[int(np.argmax(probs))]
+        starts = np.array(cells) + rng.uniform(-0.1, 0.1, size=(5, len(cells)))
+        field = bs.VelocityField(bset, prop)
+        coeff0 = field.state_coefficients(state)
+        a, b = np.argsort(np.abs(coeff0))[-2:]
+        unit = np.zeros((2, bset.dim, bset.dim), dtype=complex)
+        unit[0, a, b] = unit[0, b, a] = 1e-3j
+        unit[1, a, b], unit[1, b, a] = -1e-3, 1e-3
+        ops = tuple_stack(field, cells)
+        im0 = []
+        for d in unit:
+            ops[1 + 1] += d
+            im0.append(field._forms(coeff0, cells)[0][1 + 1].imag)
+            ops[1 + 1] -= d
+        ops[1 + 1] += im0[1] * unit[0] - im0[0] * unit[1]
+        assert abs(field._forms(coeff0, cells)[0][1 + 1].imag) < 1e-15
+        times = state.time + np.array([0.1, 0.2])
+        assert abs(direct_forms(field, state, cells, times)[:, 1 + 1].imag).min() > 1e-8
+        with pytest.raises(NumericError, match="current component 1 "):
+            _integrate_block(field, state, starts, [0.3], **BLOCK_TOL)
 
     def test_step_underflow_raises_on_both_paths(self, rabi, monkeypatch):
         # an error estimate no step can satisfy must surface as a numeric
@@ -744,6 +790,184 @@ class TestCellCrossings:
                 np.array([res]))
             assert now == [(ell, boundary[0, ell]) for ell in np.flatnonzero(now_rows[0])]
             assert aim[0] == (np.inf if h_aim is None else abs(h_aim))
+
+
+def table_forms(tables, cells, times):
+    """The tables' forms (n, 2L + 1) of one cell tuple at times (n,)."""
+    code = np.ravel_multi_index(cells, tables.field.beable_set.cell_counts)
+    rows, x = tables.locate(np.array([code]), np.asarray(times, dtype=float)[None])
+    return (tables.evaluate(tables.re, rows[0], x[0])
+            + 1j * tables.evaluate(tables.im, rows[0], x[0]))
+
+
+def direct_forms(field, state0, cells, times):
+    coeff0 = field.state_coefficients(state0)
+    return _forms_at(field, coeff0, -1j * field._energies, state0.time, cells,
+                     np.asarray(times, dtype=float))[0]
+
+
+class TestFormTables:
+    """The block path reads its stage forms from per-tuple Chebyshev tables
+    in time; _forms at the same times is their reference."""
+
+    def table_models(self, rng):
+        """(name, field, state0, span end) with many panels among them."""
+        out = [(name, field, state0, times[-1]) for name, field, state0, times
+               in block_models(rng)]
+        bset, prop, state = sigma_z_chain(rng, 5)
+        out.append(("sz-chain-5", bs.VelocityField(bset, prop), state, 2.0))
+        m = build_model(parse_config({"preset": "number-operator"}))
+        out.append(("number-operator-t20", m.field, m.state0, 20.0))
+        return out
+
+    def test_tables_match_the_forms(self, rng):
+        draw = np.random.default_rng(41)
+        for name, field, state0, t_end in self.table_models(rng):
+            tables = FormTables(field, field.state_coefficients(state0), state0.time, t_end)
+            tuples = bs.all_cell_tuples(field.beable_set)
+            for cells in (tuples[0], tuples[len(tuples) // 2], tuples[-1]):
+                times = state0.time + draw.uniform(0.0, 1.0, 200) * (t_end - state0.time)
+                got = table_forms(tables, cells, times)
+                want = direct_forms(field, state0, cells, times)
+                # each time's panel, and the largest |form| at its nodes
+                panel = np.minimum(((times - state0.time) / tables.width).astype(int),
+                                   tables.n_panels - 1)
+                nodes = state0.time + tables.width * (panel[:, None] + tables.node_frac)
+                scale = np.abs(direct_forms(field, state0, cells, nodes.ravel())).reshape(
+                    times.size, -1).max(axis=1)
+                # plus the roundoff of _forms itself where a form cancels to
+                # far below its terms (near a node, P ~ 1e-9 from O(1) terms)
+                err = np.abs(got - want).max(axis=1)
+                assert np.all(err <= 1e-13 * scale + 1e-15), (name, cells)
+            if name == "number-operator-t20":
+                assert tables.n_panels > 200 and tables.n_windows > 1
+
+    def test_interior_cells_are_tabulated(self, rng):
+        # the random L = 3 set's middle beable has an interior cell
+        name, field, state0, times = block_models(rng)[-1]
+        tables = FormTables(field, field.state_coefficients(state0), state0.time, times[-1])
+        cells = (0, 1, 0)
+        t = state0.time + np.linspace(0.0, times[-1], 201)
+        np.testing.assert_allclose(table_forms(tables, cells, t),
+                                   direct_forms(field, state0, cells, t), rtol=0.0, atol=1e-13)
+
+    def test_a_zero_span_and_a_degenerate_spectrum(self, rabi):
+        tables = FormTables(rabi.field, rabi.field.state_coefficients(rabi.state0), 0.0, 0.0)
+        assert tables.n_panels == 1 and tables.width == 0.0
+        np.testing.assert_allclose(table_forms(tables, (1,), [0.0, 0.0]),
+                                   direct_forms(rabi.field, rabi.state0, (1,), [0.0, 0.0]),
+                                   rtol=0.0, atol=1e-13)
+        # omega = 0: every energy equal, so every form is constant in time
+        prop = bs.diagonalize(bs.Operator(0.7 * I2, hermitian=True))
+        field = bs.VelocityField(rabi.beable_set, prop)
+        state = bs.QuantumState(np.array([0.6, 0.8j]))
+        tables = FormTables(field, field.state_coefficients(state), 0.0, 5.0)
+        assert tables.n_panels == 1
+        t = np.linspace(0.0, 5.0, 200)
+        for cells in ((0,), (1,)):
+            np.testing.assert_allclose(table_forms(tables, cells, t),
+                                       direct_forms(field, state, cells, t),
+                                       rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("t0, t_end", [(0.0, 2.5), (1.0, -2.0)])
+    def test_a_time_beyond_the_span_raises(self, rabi, t0, t_end):
+        state = rabi.state(t0)
+        tables = FormTables(rabi.field, rabi.field.state_coefficients(state), t0, t_end)
+        step = np.spacing(max(abs(t0), abs(t_end)))
+        # the rounding of t + c h may pass the end by an ulp or two
+        for t in (t0, t_end, t_end + np.sign(t_end - t0) * step):
+            table_forms(tables, (1,), [t])
+        for t in (t_end + np.sign(t_end - t0) * 1e-9, t0 - np.sign(t_end - t0) * 1e-9):
+            with pytest.raises(NumericError, match="outside the tabulated span"):
+                table_forms(tables, (1,), [t])
+
+    def test_a_node_at_stage_3_aborts_as_per_stage_calls(self, rabi):
+        # P(cell 1) = cos^2(t / 2) falls to the floor 0.2 between the second
+        # and the third stage time (t + h / 5, t + 3 h / 10) of the first
+        # row, stage rows 0 and 1 of the step; the second row stays clear
+        field = bs.VelocityField(rabi.beable_set, rabi.propagator, node_floor=0.2)
+        coeff0 = field.state_coefficients(rabi.state0)
+        tables = FormTables(field, coeff0, 0.0, 3.0)
+        h = 0.1
+        starts = np.array([2.0 * np.arccos(np.sqrt(0.2)) - 0.25 * h, 0.3])
+        stage_t = starts[:, None] + _STAGE_C * h
+        rows, x = tables.locate(np.array([1, 1]), stage_t)
+        p = np.array([tables.evaluate(tables.re, r, xi)[:, 0] for r, xi in zip(rows.T, x.T)])
+        first = _stage_nodes(field, p)
+        assert first.tolist() == [1, 5]
+        m_e = -1j * field._energies
+        field.velocities(coeff0 * np.exp(m_e * stage_t[0, 0]), np.array([1.2]), (1,),
+                         stage_t[0, 0])
+        with pytest.raises(NodeError) as err:
+            field.velocities(coeff0 * np.exp(m_e * stage_t[0, 1]), np.array([1.2]), (1,),
+                             stage_t[0, 1])
+        assert err.value.probability == pytest.approx(p[1, 0], rel=0.0, abs=1e-13)
+        assert _stage_nodes(field, p[:, 1:]) is None
+
+    @staticmethod
+    def per_stage_calls(field, vals):
+        """Each row's first stage at a node (S if none) from one stacked
+        _velocities_of call per stage over the rows still live, retried
+        without each row at a node, or the message of the error raised."""
+        n_stages, m = vals.shape[:2]
+        first = np.full(m, n_stages)
+        lam, shift = np.zeros((m, 1)), np.full((m, 1), 0.5)
+        try:
+            for s in range(n_stages):
+                live = np.flatnonzero(first == n_stages)
+                while live.size:
+                    try:
+                        field._velocities_of(vals[s, live], lam[live], shift[live], (1,), 0.0)
+                        break
+                    except NodeError as node:
+                        first[live[node.row]] = s
+                        live = np.delete(live, node.row)
+        except NumericError as err:
+            return str(err)
+        return first.tolist()
+
+    @pytest.mark.parametrize("defect, raises", [
+        (None, False), (("P", 0, 1), True), (("P", 0, 2), False), (("X", 0, 1), False),
+        (("X", 0, 0), True), (("X", 1, 3), True)])
+    def test_stage_checks_follow_one_call_per_stage(self, rabi, defect, raises):
+        # row 0 meets a node at stage 1; a defect at (form, row, stage) is
+        # seen by a stage call only while its row is live there: P's
+        # imaginary part is checked before the node, the currents after it
+        vals = np.full((5, 2, 3), 0.5, dtype=complex)
+        vals[1, 0, 0] = 0.0
+        if defect is not None:
+            form, row, stage = defect
+            vals[stage, row, 0 if form == "P" else 1] += 1e-3j
+        want = self.per_stage_calls(rabi.field, vals)
+        try:
+            got = _stage_nodes(rabi.field, vals[..., 0].real, vals)
+            got = got.tolist()
+        except NumericError as err:
+            got = str(err)
+        assert got == want
+        assert isinstance(want, str) == raises and (raises or want == [1, 5])
+
+    @pytest.mark.parametrize("ell", [0, 2])
+    def test_a_defect_in_x_gives_the_per_stage_message(self, rng, ell):
+        bset, prop, state = l3_commuting_model(rng)
+        tuples, probs = bs.quantum_distribution(state, bset)
+        cells = tuples[int(np.argmax(probs))]
+        field = bs.VelocityField(bset, prop)
+        tuple_stack(field, cells)[1 + ell] += 1e-3j * np.eye(bset.dim)
+        coeff0 = field.state_coefficients(state)
+        tables = FormTables(field, coeff0, 0.0, 1.0)
+        stage_t = 0.4 + _STAGE_C * 0.05
+        vals = table_forms(tables, cells, stage_t)
+        code = np.ravel_multi_index(cells, bset.cell_counts)
+        rows, _ = tables.locate(np.array([code]), stage_t[None])
+        assert not tables.clean[rows].any()
+        with pytest.raises(NumericError, match=f"current component {ell} ") as got:
+            _stage_nodes(field, vals.real[:, None, 0], vals[:, None])
+        lam = np.array(cells, dtype=float)
+        with pytest.raises(NumericError) as want:
+            field.velocities(coeff0 * np.exp(-1j * field._energies * stage_t[0]), lam, cells,
+                             stage_t[0])
+        assert str(got.value) == str(want.value)
 
 
 # Dormand-Prince 5(4), written out independently of the production table

@@ -366,6 +366,13 @@ class TestEnsembleEquivariance:
         with pytest.raises(InputError):
             bs.ensemble_equivariance(rabi.field, rabi.state0, 10, [1.0], seed=1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_probe_times_must_be_finite(self, rabi, bad):
+        # an infinite target is never reached, and NaN compares false
+        with pytest.raises(InputError, match="probe times must be finite"):
+            bs.ensemble_equivariance(rabi.field, rabi.state0, 100, [1.0, bad], seed=1,
+                                     workers=1)
+
     def test_tv_consistent_with_sampling_noise(self, rabi):
         # tv at t=0 is pure multinomial noise by construction; later times
         # must stay on the same scale (no systematic drift with t)
