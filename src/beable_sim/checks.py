@@ -11,7 +11,7 @@ Each oracle input is computed once: the pass evolves the state and takes
 its cell weights once per probe time and shares them across the
 trajectories (the last state starts every backward leg), each trajectory
 evaluates its conserved level once, each continuity point evaluates the
-field's forms with two stacked calls, and the average-consistency check
+field's forms with one stacked call, and the average-consistency check
 evaluates its expectation curve once per time.
 """
 

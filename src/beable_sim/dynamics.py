@@ -34,7 +34,12 @@ time (see tables.FormTables), which differ from the direct forms only by
 roundoff.
 Either way the five stage rows are checked once per step, with the outcome
 of one velocity call per stage (_stage_nodes), and each stage then only
-combines its row with its own lambda.
+combines its row with its own lambda: L numbers, which the one-trajectory
+step combines in Python floats (_float_step) with the block's per-row
+arithmetic. The pair is FSAL: a step's last stage is f(t + h, y_new), so it
+is the next step's first stage unless the step crossed a boundary. One
+trajectory also carries it across a record time that t + h hits exactly;
+the block takes a fresh first stage after every record.
 
 P, the cell distribution and J are built in the beables' joint eigenbasis,
 where cell projectors are 0/1 masks, and evaluated in the Hamiltonian
@@ -478,7 +483,9 @@ def velocity(field: VelocityField, state: QuantumState, lambdas) -> np.ndarray:
 
 
 # Dormand-Prince 5(4) tableau; the last stage row doubles as the 5th-order
-# weights, the 7th stage sits at t + h, and the error row is b5 - b4.
+# weights, the 7th stage sits at t + h, and the error row is b5 - b4. The
+# error row is Python floats, like the stage rows, so that _float_step reads
+# them as floats.
 _DP_A = (
     (),
     (1 / 5,),
@@ -488,13 +495,12 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_DP_ROWS = tuple(np.array(row) for row in _DP_A)
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 # the five new stage times of a step are t + c h for these c; the 6th and 7th
-# stages share t + h, so stage i of _dp54_step reads stage time _STAGE_ROW[i].
-# A step that needs a fresh first stage takes it at t + 0 h = t in the same
-# call, at the times t + _FRESH_C h.
+# stages share t + h, so stage i reads stage row _STAGE_ROW[i]. A step that
+# needs a fresh first stage takes it at t + 0 h = t in the same call, at the
+# times t + _FRESH_C h.
 _STAGE_C = np.array(_DP_C[1:6])
 _FRESH_C = np.array(_DP_C[:6])
 _STAGE_ROW = (None, 0, 1, 2, 3, 4, 4)
@@ -504,20 +510,90 @@ _STAGE_ROW = (None, 0, 1, 2, 3, 4, 4)
 _FORMS_ROWS = 256
 
 
-def _dp54_step(rhs, t, y, h, k1):
-    """One Dormand-Prince step from (t, y). Returns (y_new, error, f(t+h, y_new)).
+def _tableau_sum(row, k):
+    """sum_j row[j] k[j] over the nonzero tableau entries, elementwise, so a
+    row of the block never meets another row in a reduction."""
+    out = None
+    for a, kj in zip(row, k):
+        if a:
+            out = a * kj if out is None else out + a * kj
+    return out
 
-    The stages live in one (7, L) array, so each stage input and the error
-    estimate are one product with a tableau row. The 7th stage input is the
-    5th-order solution itself, so its derivative comes out for free and
-    feeds both the error estimate and the next step.
-    """
-    k = np.empty((7, y.size))
-    k[0] = k1
+
+def _dp_stages(y, h, k1, stage):
+    """The Dormand-Prince stages of rows y (n, L) with steps h (n, 1) and
+    first stages k1 (n, L); stage(i, y_i) is the derivative (n, L) of stage
+    i = 1..6 at its input y_i. Each stage input and the error estimate sum
+    their nonzero tableau entries left to right, elementwise
+    (_tableau_sum), so a row never meets another row. Returns the
+    5th-order solution, the error estimate and the seven stages; the 7th
+    stage input is the 5th-order solution, so its derivative f(t + h,
+    y_new) comes for free."""
+    k = [k1]
     for i in range(1, 7):
-        yi = y + h * (_DP_ROWS[i] @ k[:i])
-        k[i] = rhs(t + _DP_C[i] * h, yi)
-    return yi, h * (_DP_ERR @ k), k[6]
+        yi = y + h * _tableau_sum(_DP_A[i], k)
+        k.append(stage(i, yi))
+    return yi, h * _tableau_sum(_DP_ERR, k), k
+
+
+def _forms_stage(forms: np.ndarray, shift: np.ndarray):
+    """The stage(i, y_i) of _dp_stages for rows whose real forms (5, n,
+    2L + 1) at the five new stage times are known, with lambda shifts
+    (n, L): v = ((y_i + shift) X + Y) / P, elementwise."""
+    n_b = shift.shape[-1]
+
+    def stage(i, yi):
+        vals = forms[_STAGE_ROW[i]]
+        return ((yi + shift) * vals[:, 1:n_b + 1] + vals[:, n_b + 1:]) / vals[:, :1]
+    return stage
+
+
+def _float_step(field: VelocityField, vals: np.ndarray, cells: tuple, t: float,
+                y: list, h: float, k1: list):
+    """One Dormand-Prince step of one trajectory from (t, y) with step h and
+    first stage k1, in the cells it holds, with vals the forms (5, 2L + 1)
+    at its five new stage times (see _forms_at). Returns the 5th-order
+    solution, the error estimate and the last stage f(t + h, y_new), all
+    lists of Python floats.
+
+    The stage rows are checked once (_stage_nodes), as in the block path;
+    a row at a node raises the NodeError of the first stage that reads it,
+    at that stage's time. Then the rows become lists, and every number is
+    the one the block path's per-row arithmetic (_dp_stages) gives: each
+    stage input and the error sum the nonzero tableau entries left to
+    right, and a stage is ((y_i + shift) X + Y) / P. The stages are
+    written out one by one, each input inside its stage's comprehension,
+    because a loop over the tableau rows costs about a tenth more at L = 5.
+    """
+    re = vals.real
+    first = _stage_nodes(field, re[:, :1], vals[:, None])
+    if first is not None and first[0] < _STAGE_C.size:
+        row = int(first[0])
+        raise NodeError(cells, re[row, 0], t + _DP_C[row + 1] * h)
+    rows = re.tolist()
+    n_b = len(y)
+    shift = [0.5 - n for n in cells]
+    (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76)) = _DP_A
+    e1, _, e3, e4, e5, e6, e7 = _DP_ERR
+    # each row is P, then the X forms (zip stops after L) and the Y forms
+    (p2, *r2), (p3, *r3), (p4, *r4), (p5, *r5), (p6, *r6) = rows
+    k2 = [((u + h * (a21 * f1) + s) * x + c) / p2
+          for u, f1, s, x, c in zip(y, k1, shift, r2, r2[n_b:])]
+    k3 = [((u + h * (a31 * f1 + a32 * f2) + s) * x + c) / p3
+          for u, f1, f2, s, x, c in zip(y, k1, k2, shift, r3, r3[n_b:])]
+    k4 = [((u + h * (a41 * f1 + a42 * f2 + a43 * f3) + s) * x + c) / p4
+          for u, f1, f2, f3, s, x, c in zip(y, k1, k2, k3, shift, r4, r4[n_b:])]
+    k5 = [((u + h * (a51 * f1 + a52 * f2 + a53 * f3 + a54 * f4) + s) * x + c) / p5
+          for u, f1, f2, f3, f4, s, x, c in zip(y, k1, k2, k3, k4, shift, r5, r5[n_b:])]
+    k6 = [((u + h * (a61 * f1 + a62 * f2 + a63 * f3 + a64 * f4 + a65 * f5) + s) * x + c) / p6
+          for u, f1, f2, f3, f4, f5, s, x, c in zip(y, k1, k2, k3, k4, k5, shift, r6, r6[n_b:])]
+    y_new = [u + h * (a71 * f1 + a73 * f3 + a74 * f4 + a75 * f5 + a76 * f6)
+             for u, f1, f3, f4, f5, f6 in zip(y, k1, k3, k4, k5, k6)]
+    k7 = [((u + s) * x + c) / p6 for u, s, x, c in zip(y_new, shift, r6, r6[n_b:])]
+    err = [h * (e1 * f1 + e3 * f3 + e4 * f4 + e5 * f5 + e6 * f6 + e7 * f7)
+           for f1, f3, f4, f5, f6, f7 in zip(k1, k3, k4, k5, k6, k7)]
+    return y_new, err, k7
 
 
 def _forms_at(field: VelocityField, coeff0: np.ndarray, m_e: np.ndarray, t0: float,
@@ -558,31 +634,6 @@ def _stage_nodes(field: VelocityField, p: np.ndarray, vals=None):
             if symmetric:
                 field._check_current_bounds(bounds[s, kept[s]].max(axis=0, initial=0.0).tolist())
     return first
-
-
-def _stage_rhs(field: VelocityField, coeff0: np.ndarray, m_e: np.ndarray, t0: float,
-               cells: tuple, t, h, ahead=None):
-    """The right-hand side of one _dp54_step from t with step h, in the
-    cells the step holds. The forms at all five new stage times come from
-    one stacked call (see _forms_at), unless ahead already holds them as
-    (vals, shift). Their checks run once for the step (_stage_nodes, as in
-    the block path), and each stage only combines its row with its lambda;
-    the stage at the step's first node raises that NodeError."""
-    vals, shift = ahead or _forms_at(field, coeff0, m_e, t0, cells, t + _STAGE_C * h)
-    re = vals.real
-    p = re[:, 0]
-    first = _stage_nodes(field, p[:, None], vals[:, None])
-    node_row = -1 if first is None else int(first[0])
-    n_b = field.n_beables
-    xs, ys = re[:, 1:n_b + 1], re[:, n_b + 1:]
-    rows = iter(_STAGE_ROW[1:])
-
-    def rhs(t_i, lam):
-        row = next(rows)
-        if row == node_row:
-            raise NodeError(cells, p[row], t_i)
-        return ((lam + shift) * xs[row] + ys[row]) / p[row]
-    return rhs
 
 
 @dataclass
@@ -754,6 +805,15 @@ def _start(beable_set: BeableSet, t0: float, lam0: np.ndarray, record_times):
     return record_times, rec, rec_cells, rec_i, sgn, cells
 
 
+def _carries(esc: list, t: float, t_end: float) -> bool:
+    """Whether an accepted step's last stage, f(t_end, y_new) in the cells
+    it held, is the next step's first stage bit for bit: the step crossed
+    nothing and it moved t to t_end itself. A step clamped to a record time
+    moves t to that time, which can differ from t + h by roundoff; when it
+    does not, the fresh first stage would be the same GEMM row."""
+    return not esc and t == t_end
+
+
 def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
                        record_times, rtol: float, atol: float) -> Trajectory:
     """Drive d lambda/dt = v through the cells, recording at record_times.
@@ -762,7 +822,10 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
     and start at or beyond it; a leading time equal to state0.time records
     the initial configuration. Cell crossings follow the three rules of the
     module docstring. The one-trajectory path of `simulate`, `verify` and
-    integrate_trajectory, and the oracle for _integrate_block.
+    integrate_trajectory, and the oracle for _integrate_block. Lambda, the
+    first stage and the error estimate are lists of Python floats, and a
+    step is float arithmetic on them (_float_step); numpy computes only the
+    forms and their checks.
     """
     beable_set = field.beable_set
     n_cells = beable_set.cell_counts
@@ -774,27 +837,25 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
     record_times, rec, rec_cells, rec_i, sgn, cells = _start(beable_set, t0, y[None],
                                                              record_times)
     rec, rec_cells, cells = rec[0], rec_cells[0], tuple(cells[0].tolist())
-    n_rec = record_times.size
+    targets = record_times.tolist()
+    n_rec = len(targets)
     if rec_i >= n_rec:
         return _record(beable_set, record_times, rec, rec_cells, rec_i,
                        TrajectoryStatus.COMPLETED)
 
-    def rhs(t, lam):
-        # the state advances exactly, by phases; the cells are the current ones
-        return field.velocities(coeff0 * np.exp(m_e * (t - t0)), lam, cells, t)
-
     t = t0
     retry = None
     try:
-        f_now = rhs(t, y)
-        h = float(_first_step(f_now, abs(record_times[-1] - t0), sgn))
+        f_now = field.velocities(coeff0 * np.exp(m_e * (t - t0)), y, cells, t).tolist()
+        h = float(_first_step(f_now, abs(targets[-1] - t0), sgn))
+        y = y.tolist()
 
         steps = 0
         while rec_i < n_rec:
             steps += 1
             if steps > MAX_STEPS:
                 raise NumericError(f"integration exceeded {MAX_STEPS} steps")
-            target = record_times[rec_i]
+            target = targets[rec_i]
             h_try = h if retry is None else retry
             retry = None
             clamped = (t + h_try - target) * sgn >= 0.0
@@ -810,22 +871,21 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
                 # the fresh first stage and the stage forms of a step of h_try
                 # from one call; the step uses the latter if it keeps h_try
                 vals, shift = _forms_at(field, coeff0, m_e, t0, cells, t + _FRESH_C * h_try)
-                f_now = field._velocities_of(vals[0], y, shift, cells, t)
-                ahead = vals[1:], shift
-            h_aim, now = _aim(float(h_try), y.tolist(), f_now.tolist(), cells, n_cells,
-                              1e-14 * max(1.0, abs(t)))
+                f_now = field._velocities_of(vals[0], y, shift, cells, t).tolist()
+                ahead = vals[1:]
+            h_aim, now = _aim(h_try, y, f_now, cells, n_cells, 1e-14 * max(1.0, abs(t)))
             if now:
                 y, cells = _cross(y, cells, now, n_cells, t)
                 f_now = None
                 continue
             if h_aim is not None and abs(h_aim) < abs(h_try):
                 h_try, clamped, ahead = h_aim, False, None
+            if ahead is None:
+                ahead = _forms_at(field, coeff0, m_e, t0, cells, t + _STAGE_C * h_try)[0]
 
-            y_new, err, k_last = _dp54_step(
-                _stage_rhs(field, coeff0, m_e, t0, cells, t, h_try, ahead), t, y, h_try, f_now)
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            ratio = err / scale
-            enorm = math.sqrt(ratio @ ratio / n_b)
+            y_new, err, k_last = _float_step(field, ahead, cells, t, y, h_try, f_now)
+            ratio = [e / (atol + rtol * max(abs(a), abs(b))) for e, a, b in zip(err, y, y_new)]
+            enorm = math.sqrt(sum([r * r for r in ratio]) / n_b)
             if enorm > 1.0:
                 factor = max(0.2, 0.9 * enorm ** -0.2)
                 h = h_try * factor
@@ -834,16 +894,15 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
                         f"step size underflow at t = {t:.12g} (h = {h:.3e})"
                     )
                 continue
-            esc = _escapes(y_new.tolist(), cells)
+            esc = _escapes(y_new, cells)
             retry = _retry_step(y, y_new, f_now, k_last, h_try, esc)
             if retry is not None:
                 continue
 
-            t = target if clamped else t + h_try
+            t_end = t + h_try
+            t = target if clamped else t_end
             y, cells = _cross(y_new, cells, esc, n_cells, t) if esc else (y_new, cells)
-            # the last stage is f(t + 1.0 * h, y_new) in the old cells, bit
-            # for bit; a clamped t need not equal t + h_try
-            f_now = None if clamped or esc else k_last
+            f_now = k_last if _carries(esc, t, t_end) else None
             if clamped:
                 rec[rec_i], rec_cells[rec_i] = y, cells
                 rec_i += 1
@@ -854,16 +913,6 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
         return _record(beable_set, record_times, rec, rec_cells, rec_i,
                        TrajectoryStatus.NODE_ABORTED, node.time, node.cells)
     return _record(beable_set, record_times, rec, rec_cells, rec_i, TrajectoryStatus.COMPLETED)
-
-
-def _tableau_sum(row, k):
-    """sum_j row[j] k[j] over the nonzero tableau entries, elementwise, so a
-    row of the block never meets another row in a reduction."""
-    out = None
-    for a, kj in zip(row, k):
-        if a:
-            out = a * kj if out is None else out + a * kj
-    return out
 
 
 def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
@@ -1043,16 +1092,9 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
 
         # the Dormand-Prince stages, as array arithmetic on the live rows
         ya = y[act]
-        shift = 0.5 - frozen
-        hcol = h_try[:, None]
-        k = [f[act]]
-        for i in range(1, 7):
-            yi = ya + hcol * _tableau_sum(_DP_A[i], k)
-            vals = forms[_STAGE_ROW[i]]
-            k.append(((yi + shift) * vals[:, 1:n_b + 1] + vals[:, n_b + 1:]) / vals[:, :1])
-        y_new = yi
+        y_new, err, k = _dp_stages(ya, h_try[:, None], f[act], _forms_stage(forms, 0.5 - frozen))
         scale = atol + rtol * np.maximum(np.abs(ya), np.abs(y_new))
-        ratio = hcol * _tableau_sum(_DP_ERR, k) / scale
+        ratio = err / scale
         enorm = np.sqrt((ratio * ratio).sum(axis=1) / n_b)
 
         rejected = enorm > 1.0

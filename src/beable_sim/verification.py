@@ -10,8 +10,7 @@ of an evolved state and the conserved level, the average-consistency check
 the expectation value. So a caller that probes many trajectories at one
 time evolves the state and takes its weights once for all of them, and
 evaluates each trajectory's level once. The continuity residual gets the
-field's forms from one stacked probability call and one stacked currents
-call.
+field's forms at t and t +/- h from one stacked call.
 
 Ensemble runs draw initial configurations from the exact joint cell
 distribution (cell tuple from the enumerated distribution, then lambda
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beables import BeableOperator, BeableSet, LambdaConfig, cell_index, lower_projector
+from .beables import BeableOperator, BeableSet, LambdaConfig, cell_index
 from .dynamics import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
@@ -86,8 +85,12 @@ def sample_initial(state: QuantumState, beable_set: BeableSet,
 # single-beable exact solutions
 
 def level_expectation(state: QuantumState, b: BeableOperator, lam: float) -> float:
-    """<t|L(lambda)|t>, the conserved level value of one-beable dynamics."""
-    return expectation(state, lower_projector(b, lam)).real
+    """<t|L(lambda)|t>, the conserved level value of one-beable dynamics:
+    sum_{j<n} <P(j)> + (lambda - n + 1/2) <P(n)> with n the cell of lambda,
+    from the cell projectors' expectations, with no dense L(lambda)."""
+    n = cell_index(b, lam)
+    below = sum(expectation(state, p).real for p in b.projectors[:n])
+    return below + (lam - n + 0.5) * expectation(state, b.projectors[n]).real
 
 
 def cell_weights(state: QuantumState, b: BeableOperator) -> np.ndarray:
@@ -177,9 +180,10 @@ def continuity_residual(field: VelocityField, state: QuantumState, lambdas,
     """|dP/dt + sum_ell dJ_ell/dlambda_ell| by central differences of the
     field's own probability and currents.
 
-    dP/dt uses the states at t +/- h, both from one stacked probability call;
-    each current derivative offsets one lambda component by +/- h with the
-    state fixed, and all 2L offsets come from one stacked currents call.
+    dP/dt uses the states at t +/- h; each current derivative offsets one
+    lambda component by +/- h with the state at t fixed. The forms of all
+    three states come from one stacked _forms call, whose rows are
+    bit-identical to single calls, and the 2L offsets share the third.
     Points within h of a cell boundary return None (skip signal) because the
     one-sided cells would make the differences meaningless.
     """
@@ -193,11 +197,12 @@ def continuity_residual(field: VelocityField, state: QuantumState, lambdas,
     cells = tuple(cells)
     coeff = field.state_coefficients(state)
     phase = np.exp(-1j * h * field.propagator.energies)
-    p_plus, p_minus = field.probability(np.stack([coeff * phase, coeff * phase.conj()]), cells)
+    vals, shift = field._forms(np.stack([coeff * phase, coeff * phase.conj(), coeff]), cells)
+    p_plus, p_minus = field._probability_of(vals[:2])
     dp_dt = (p_plus - p_minus) / (2.0 * h)
     n_b = len(cells)
     shifts = h * np.eye(n_b)
-    j = field.currents(coeff, np.concatenate([lam + shifts, lam - shifts]), cells)
+    j = field._currents_of(vals[2], np.concatenate([lam + shifts, lam - shifts]), shift)
     div = sum(j[ell, ell] - j[n_b + ell, ell] for ell in range(n_b)) / (2.0 * h)
     return abs(dp_dt + div)
 

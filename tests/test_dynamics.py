@@ -11,9 +11,12 @@ from beable_sim.dynamics import (
     Symmetrization,
     _aim,
     _aim_rows,
-    _dp54_step,
+    _carries,
+    _dp_stages,
     _escapes,
+    _float_step,
     _forms_at,
+    _forms_stage,
     _integrate_block,
     _integrate_on_grid,
     _ordering_weights,
@@ -21,7 +24,6 @@ from beable_sim.dynamics import (
     _retry_step,
     _STAGE_C,
     _stage_nodes,
-    _stage_rhs,
     _subset_weights,
 )
 from beable_sim.errors import InputError, NodeError, NumericError
@@ -986,42 +988,83 @@ DP_B4 = [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100
 
 
 class TestDormandPrinceStep:
-    def test_matches_the_literal_tableau(self, rng):
-        m = rng.normal(size=(3, 3))
-        rhs = lambda t, y: m @ y  # noqa: E731
-        t, h = 0.4, 0.15
-        y = rng.normal(size=3)
-        k = [rhs(t, y)]
-        for i in range(1, 7):
-            yi = y + h * sum(a * kj for a, kj in zip(DP_A[i], k))
-            k.append(rhs(t + DP_C[i] * h, yi))
-        y5 = y + h * sum(b * kj for b, kj in zip(DP_B5, k))
-        err = h * sum((b5 - b4) * kj for b5, b4, kj in zip(DP_B5, DP_B4, k))
+    @staticmethod
+    def random_step(rng, field):
+        """Random cells, y, k1, h and real stage forms (5, 2L + 1), with P in
+        [0.2, 1] and normal X and Y, for a step of field."""
+        n_b = field.n_beables
+        cells = tuple(int(rng.integers(k)) for k in field.beable_set.cell_counts)
+        vals = rng.normal(size=(5, 2 * n_b + 1)) + 0j
+        vals[:, 0] = rng.uniform(0.2, 1.0, size=5)
+        y = np.array(cells) + rng.uniform(-0.5, 0.5, size=n_b)
+        k1 = rng.normal(size=n_b)
+        h = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 0.0))
+        return cells, vals, y, k1, h
 
-        y_new, got_err, k7 = _dp54_step(rhs, t, y, h, k[0])
-        np.testing.assert_allclose(y_new, y5, rtol=0.0, atol=1e-14)
-        np.testing.assert_allclose(got_err, err, rtol=0.0, atol=1e-14)
-        np.testing.assert_allclose(k7, k[6], rtol=0.0, atol=1e-14)
-        assert np.array_equal(k7, rhs(t + h, y_new))
+    def test_matches_the_literal_tableau(self, rng):
+        # stage i reads the forms at its time t + c_i h, which is the fifth
+        # row for both stages at t + h
+        field = bs.VelocityField(*l3_commuting_model(rng)[:2])
+        for _ in range(50):
+            cells, vals, y, k1, h = self.random_step(rng, field)
+            re, shift = vals.real, 0.5 - np.array(cells)
+            row = {c: i for i, c in enumerate(DP_C[1:6])}
+
+            def rhs(c, lam):
+                r = re[row[c]]
+                return ((lam + shift) * r[1:len(cells) + 1] + r[len(cells) + 1:]) / r[0]
+            k = [k1]
+            for i in range(1, 7):
+                yi = y + h * sum(a * kj for a, kj in zip(DP_A[i], k))
+                k.append(rhs(DP_C[i], yi))
+            y5 = y + h * sum(b * kj for b, kj in zip(DP_B5, k))
+            err = h * sum((b5 - b4) * kj for b5, b4, kj in zip(DP_B5, DP_B4, k))
+
+            y_new, got_err, k7 = _float_step(field, vals, cells, 0.4, y.tolist(), h, k1.tolist())
+            np.testing.assert_allclose(y_new, y5, rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(got_err, err, rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(k7, k[6], rtol=0.0, atol=1e-12)
+            assert np.array_equal(k7, rhs(1.0, np.array(y_new)))
+
+    def test_equals_the_block_stage_arithmetic(self, rng):
+        # fed the same stage forms, k1 and h, every number of the float step
+        # is the block path's, bit for bit
+        field = bs.VelocityField(*l3_commuting_model(rng)[:2])
+        for _ in range(200):
+            cells, vals, y, k1, h = self.random_step(rng, field)
+            vals *= 10.0 ** rng.uniform(-3.0, 3.0, size=vals.shape[1])
+            got = _float_step(field, vals, cells, 0.4, y.tolist(), h, k1.tolist())
+            stage = _forms_stage(vals.real[:, None], (0.5 - np.array(cells))[None])
+            y_new, err, k = _dp_stages(y[None], np.array([[h]]), k1[None], stage)
+            for a, b in zip(got, (y_new[0], err[0], k[6][0]), strict=True):
+                assert all(type(v) is float for v in a)
+                assert np.array_equal(a, b)
 
     @staticmethod
     def step_outcome(field, coeff0, t0, cells, t, y, h, batched, k1=None):
-        """_dp54_step from (t, y) in cells, its stages from the batched forms
-        or from one velocities call per stage: (y_new, err, last stage), or
-        the NodeError's (cells, probability, time). The first stage is k1,
-        else one velocities call at t."""
+        """A step from (t, y) in cells: _float_step on the forms of one
+        _forms_at call, or the block path's stage arithmetic with one
+        velocities call per stage. Returns (y_new, err, last stage) as
+        arrays, or the NodeError's (cells, probability, time). The first
+        stage is k1, else one velocities call at t."""
         m_e = -1j * field._energies
+        y = np.asarray(y, dtype=float)
         if k1 is None:
             k1 = field.velocities(coeff0 * np.exp(m_e * (t - t0)), y, cells, t)
-        if batched:
-            rhs = _stage_rhs(field, coeff0, m_e, t0, cells, t, h)
-        else:
-            def rhs(t_i, lam):
-                return field.velocities(coeff0 * np.exp(m_e * (t_i - t0)), lam, cells, t_i)
+
+        def stage(i, yi):
+            t_i = t + DP_C[i] * h
+            return field.velocities(coeff0 * np.exp(m_e * (t_i - t0)), yi[0], cells, t_i)[None]
         try:
-            return _dp54_step(rhs, t, y, h, k1)
+            if batched:
+                vals = _forms_at(field, coeff0, m_e, t0, cells, t + _STAGE_C * h)[0]
+                out = _float_step(field, vals, cells, t, y.tolist(), h, k1.tolist())
+            else:
+                y_new, err, k = _dp_stages(y[None], np.array([[h]]), k1[None], stage)
+                out = y_new[0], err[0], k[6][0]
         except NodeError as node:
             return node.cells, node.probability, node.time
+        return tuple(np.asarray(a) for a in out)
 
     def test_batched_stages_match_one_velocities_call_per_stage(self, rng):
         draw = np.random.default_rng(31)
@@ -1080,6 +1123,59 @@ class TestDormandPrinceStep:
             else:
                 # the ordered variant takes the real part by construction
                 self.step_outcome(field, coeff0, 0.0, cells, t, lam, h, True, k1)
+
+
+class TestCarriedStage:
+    """A step clamped onto a record time hands its last stage to the next
+    step; a run that takes a fresh first stage after every record instead
+    records the same bits."""
+
+    @staticmethod
+    def carried_and_fresh(monkeypatch, field, state0, grid, tol):
+        """The runs of five seeded starts with stages carried across record
+        times and with fresh ones, and the calls of _carries at a record
+        time: whether the stage was carried, and whether t + h hit it."""
+        import beable_sim.dynamics as dyn
+
+        records = set(grid.tolist())
+        calls = []
+
+        def spy(esc, t, t_end):
+            out = _carries(esc, t, t_end)
+            if t in records:
+                calls.append((out, t == t_end))
+            return out
+
+        def fresh_after_records(esc, t, t_end):
+            return _carries(esc, t, t_end) and t not in records
+
+        runs = []
+        for rule in (spy, fresh_after_records):
+            monkeypatch.setattr(dyn, "_carries", rule)
+            runs.append([_integrate_on_grid(field, state0, lam, grid, **tol)
+                         for lam in seeded_starts(field, state0, 5)])
+        return runs, calls
+
+    def test_a_carried_stage_changes_no_record_bit(self, monkeypatch):
+        for name in bs.PRESET_NAMES:
+            cfg = parse_config({"preset": name})
+            m = build_model(cfg)
+            grid = _output_grid(m.state0.time, cfg.run.t_final, cfg.run.output_dt)
+            runs, calls = self.carried_and_fresh(
+                monkeypatch, m.field, m.state0, grid,
+                dict(rtol=cfg.dynamics.rtol, atol=cfg.dynamics.atol))
+            assert_rows_identical(*runs)
+            assert sum(out for out, _ in calls) >= 10 * 5, name
+
+    def test_a_step_that_misses_its_record_time_takes_a_fresh_stage(self, monkeypatch):
+        # from t = 0.1, a step clamped to 0.43 ends at 0.1 + (0.43 - 0.1) =
+        # 0.42999999999999994; its last stage is not the stage at 0.43
+        m = build_model(parse_config({"preset": "number-operator"}))
+        state = bs.evolve(m.state0, m.propagator, 0.1)
+        runs, calls = self.carried_and_fresh(monkeypatch, m.field, state,
+                                             np.array([0.43, 1.0, 6.0]), BLOCK_TOL)
+        assert_rows_identical(*runs)
+        assert (False, False) in calls and (True, True) in calls
 
 
 class TestIntegrateTrajectory:
@@ -1184,10 +1280,10 @@ class TestIntegrateTrajectory:
         # as a numeric error instead of spinning forever
         import beable_sim.dynamics as dyn
 
-        def hopeless_step(rhs, t, y, h, k1):
-            return y + h * k1, np.full_like(y, 1e6), k1
+        def hopeless_step(field, vals, cells, t, y, h, k1):
+            return [u + h * f for u, f in zip(y, k1)], [1e6] * len(y), k1
 
-        monkeypatch.setattr(dyn, "_dp54_step", hopeless_step)
+        monkeypatch.setattr(dyn, "_float_step", hopeless_step)
         from beable_sim.errors import NumericError
         with pytest.raises(NumericError, match="underflow"):
             bs.integrate_trajectory(rabi.field, rabi.state0, [1.2],

@@ -4,9 +4,10 @@ Each model is drawn as follows: dim 2-8 and L = 1-3; every beable diagonal
 in one shared Haar-random basis, with 2-3 distinct integer eigenvalues; a
 random Hermitian H scaled by U(0.2, 2); a random state; rtol 1e-7 and
 probe times 1, 2, 3. The block integrator must agree with the one-trajectory
-path, ensembles must not depend on the worker count, and every run must end
-in a completion, a typed error, or a node abort in a cell tuple whose joint
-projector is zero (rank 0), where P vanishes at every time.
+path (statuses, cells, and recorded lambdas to 1e-12), ensembles must not
+depend on the worker count, and every run must end in a completion, a typed
+error, or a node abort in a cell tuple whose joint projector is zero
+(rank 0), where P vanishes at every time.
 """
 
 import numpy as np
@@ -88,6 +89,8 @@ def test_fuzz_model(seed):
             assert a.status is b.status, (seed, i)
             assert a.abort_cells == b.abort_cells, (seed, i)
             assert np.array_equal(a.cells, b.cells), (seed, i)
+            np.testing.assert_allclose(a.lambdas, b.lambdas, rtol=0.0, atol=1e-12,
+                                       err_msg=f"seed {seed} start {i}")
             if a.status is TrajectoryStatus.NODE_ABORTED:
                 assert rank_zero(bset, a.abort_cells), (seed, i, a.abort_cells)
 
