@@ -102,7 +102,8 @@ def _check_continuity(model: BuiltModel, strict: bool, n_points: int = 100) -> C
         attempts += 1
         if attempts > 200 * n_points:
             raise NumericError("could not find enough interior continuity points")
-        t = float(rng.uniform(0.0, t_final))
+        # uniform between 0 and t_final, also for a backward run (t_final < 0)
+        t = float(t_final * rng.random())
         lam = np.array([rng.uniform(-0.5, k - 0.5) for k in counts])
         state = evolve(model.state0, model.propagator, t)
         resid = continuity_residual(model.field, state, lam, h=1e-5)

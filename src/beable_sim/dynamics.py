@@ -31,8 +31,9 @@ and are known at all five new stage times t + c h of a step before it
 starts. The one-trajectory integrator takes them from one stacked product
 per step; the ensemble block reads them from per-tuple Chebyshev tables in
 time (see tables.FormTables), which differ from the direct forms only by
-roundoff.
-Either way the five stage rows are checked once per step, with the outcome
+roundoff. The forms are real: a tuple's operators are checked for
+Hermiticity once, when they are built (VelocityField._tuple_ops). Either
+way the five stage rows meet the node floor once per step, with the outcome
 of one velocity call per stage (_stage_nodes), and each stage then only
 combines its row with its own lambda: L numbers, which the one-trajectory
 step combines in Python floats (_float_step) with the block's per-row
@@ -267,10 +268,12 @@ class VelocityField:
     is stored only for an interior cell: a tuple of two-cell beables stacks
     L + 1 matrices, not 2L + 1, and its Y forms are read off its X forms.
 
-    The forms depend only on the tuple and the state, never on lambda, so
-    the integrators take them for many stage times at once (from one
-    _forms call, or from tables in time filled by _forms calls) and check
-    and combine them with each stage's lambda themselves.
+    Each tuple's stack is checked once, when it is built, so that every
+    form is real for every state (see _tuple_ops). The forms depend only on
+    the tuple and the state, never on lambda, so the integrators take them
+    for many stage times at once (from one _forms call, or from tables in
+    time filled by _forms calls) and check the node floor and combine them
+    with each stage's lambda themselves.
     """
 
     def __init__(self, beable_set: BeableSet, propagator: Propagator,
@@ -297,8 +300,6 @@ class VelocityField:
         self._rotation = v.conj().T @ beable_set.basis
         self._h_joint = (self._rotation.conj().T * e) @ self._rotation
         self._imag_tol = CURRENT_IMAG_TOL * max(1.0, float(np.max(np.abs(e))) if e.size else 1.0)
-        # the ordered variant takes the real part by construction and never checks
-        self._checks_currents = self.symmetrization is Symmetrization.SYMMETRIC_AVERAGE
         self._tuple_cache = {}
 
     def state_coefficients(self, state: QuantumState) -> np.ndarray:
@@ -311,7 +312,47 @@ class VelocityField:
 
     def _tuple_ops(self, cells: tuple):
         """Operator stack, lambda shift and form expansion for one joint cell
-        assignment; built on first use and cached.
+        assignment; built on first use, checked once and cached.
+
+        The forms are real for every state: Pi is Hermitian, and so are X_ell
+        and Y_ell under the symmetric average (the ordered variant takes the
+        real part by construction). So the imaginary parts are bounded here,
+        once per tuple, and never on the forms: for a unit state
+        |Im <A>| <= dim max|A - A^H| / 2. Pi's bound must stay within 1e-10
+        and, under the symmetric average, X_ell's plus Y_ell's bound within
+        the current tolerance; Y_ell's bound is read through expand, like its
+        form. The bounds do not depend on lambda, so a stage input far outside
+        its cell (u up to 1e9) cannot magnify roundoff past them.
+        Returns (gemm, shift, expand); see _tuple_stack.
+        """
+        ops = self._tuple_cache.get(cells)
+        if ops is not None:
+            return ops
+        gemm, expand = self._tuple_stack(cells)
+        dim = gemm.shape[0]
+        # ops[k, i, j] sits at [j, k, i] of the (dim, K, dim) view, so
+        # ops[k]^H sits there in the conjugate of its (2, 1, 0) transpose
+        stored = gemm.reshape(dim, -1, dim)
+        anti = np.abs(stored - stored.transpose(2, 1, 0).conj()).max(axis=(0, 2))
+        # a column of expand holds at most one nonzero, 1 or -1
+        bound = (0.5 * dim * anti[:, None] * np.abs(expand)).sum(axis=0)
+        if bound[0] > 1e-10:
+            raise NumericError(f"probability has imaginary part {bound[0]:.3e}")
+        if self.symmetrization is Symmetrization.SYMMETRIC_AVERAGE:
+            n_b = self.n_beables
+            for ell, current in enumerate((bound[1:n_b + 1] + bound[n_b + 1:]).tolist()):
+                if current > self._imag_tol:
+                    raise NumericError(
+                        f"current component {ell} has imaginary part {current:.3e} "
+                        "(|Im X| + |Im Y| of its forms)"
+                    )
+        ops = (gemm, 0.5 - np.asarray(cells, dtype=float), expand)
+        self._tuple_cache[cells] = ops
+        return ops
+
+    def _tuple_stack(self, cells: tuple):
+        """The operator stack of one joint cell assignment and its form
+        expansion, unchecked.
 
         L_ell is diagonal in the joint basis, so J_ell = u X_ell + Y_ell with
         u = lambda_ell + shift_ell, shift = 1/2 - cells, X_ell[a, b] =
@@ -328,11 +369,8 @@ class VelocityField:
         The stack is stored only in the layout _forms multiplies by: the
         contiguous (dim, K dim) matrix gemm with gemm[j, k dim + i] =
         ops[k, i, j], so that rows (n, dim) @ gemm gives every row's K images
-        in one BLAS product. Returns (gemm, shift, expand).
+        in one BLAS product. Returns (gemm, expand).
         """
-        ops = self._tuple_cache.get(cells)
-        if ops is not None:
-            return ops
         rot = self._rotation
         n_b = self.n_beables
         column = np.asarray(cells)[:, None]
@@ -361,14 +399,12 @@ class VelocityField:
                 slot += 1
             elif cells[ell] > 0:
                 expand[1 + ell, 1 + n_b + ell] = -1.0
-        ops = (gemm.reshape(dim, -1), 0.5 - np.asarray(cells, dtype=float), expand)
-        self._tuple_cache[cells] = ops
-        return ops
+        return gemm.reshape(dim, -1), expand
 
     def _forms(self, coeff: np.ndarray, cells: tuple):
         """All 2L + 1 quadratic forms [P, X_0..X_{L-1}, Y_0..Y_{L-1}] of the
-        tuple, and its lambda shift. A stack of rows (n, dim) gives
-        (n, 2L + 1) forms and one row (dim,) gives (2L + 1,).
+        tuple, real (see _tuple_ops), and its lambda shift. A stack of rows
+        (n, dim) gives (n, 2L + 1) forms and one row (dim,) gives (2L + 1,).
 
         The images ops @ row of every row come from one GEMM, rows @ gemm,
         and each row's forms from its own (K, dim) @ (dim,) product with its
@@ -382,59 +418,19 @@ class VelocityField:
         rows = coeff.reshape(-1, coeff.shape[-1])
         n, dim = rows.shape
         images = ((rows if n > 1 else rows.repeat(2, axis=0)) @ gemm)[:n].reshape(n, -1, dim)
-        vals = np.matmul(images, rows.conj()[:, :, None])[..., 0].dot(expand)
+        vals = np.matmul(images, rows.conj()[:, :, None])[..., 0].dot(expand).real
         return (vals[0] if coeff.ndim == 1 else vals), shift
 
-    @staticmethod
-    def _check_probability_imag(imag: float):
-        if imag > 1e-10:
-            raise NumericError(f"probability has imaginary part {imag:.3e}")
-
-    @staticmethod
-    def _probability_of(vals: np.ndarray):
-        if vals.ndim == 1:
-            p = vals[0]
-            imag = abs(p.imag)
-        else:
-            p = vals[:, 0]
-            imag = np.abs(p.imag).max()
-        VelocityField._check_probability_imag(imag)
-        return p.real
-
-    def _current_form_bounds(self, im: np.ndarray) -> np.ndarray:
-        """|Im X_ell| + |Im Y_ell| from im = |Im forms| (..., 2L + 1), per row
-        and component: a bound on |Im J_ell| for u_ell in [0, 1]."""
-        n_b = self.n_beables
-        return im[..., 1:n_b + 1] + im[..., n_b + 1:]
-
-    def _check_current_bounds(self, bounds):
-        """Raise for the first component whose bound (one per component,
-        the largest over the rows) exceeds the tolerance; only the
-        symmetric average checks."""
-        if not self._checks_currents:
-            return
-        for ell, bound in enumerate(bounds):
-            if bound > self._imag_tol:
-                raise NumericError(
-                    f"current component {ell} has imaginary part {bound:.3e} "
-                    "(|Im X| + |Im Y| of its forms)"
-                )
-
     def _currents_of(self, vals: np.ndarray, lam, shift: np.ndarray) -> np.ndarray:
-        """J_ell = u_ell Re X_ell + Re Y_ell. The imaginary parts are checked
-        on the forms, not on J: a DP45 stage input far outside its cell (u
-        up to 1e9) would otherwise magnify roundoff in Im X_ell past the
-        bound."""
+        """J_ell = u_ell X_ell + Y_ell from the forms vals (..., 2L + 1)."""
         n_b = self.n_beables
-        bounds = self._current_form_bounds(np.abs(vals.imag))
-        self._check_current_bounds(bounds.reshape(-1, n_b).max(axis=0).tolist())
-        re = vals.real
-        return (lam + shift) * re[..., 1:n_b + 1] + re[..., n_b + 1:]
+        return (lam + shift) * vals[..., 1:n_b + 1] + vals[..., n_b + 1:]
 
     def probability(self, coeff: np.ndarray, cells: tuple) -> float:
         """P of the tuple for coeff (dim,), or (n,) for a stack of states
         (n, dim), row by row equal to single calls."""
-        return self._probability_of(self._forms(coeff, cells)[0])
+        vals = self._forms(coeff, cells)[0]
+        return vals[0] if vals.ndim == 1 else vals[:, 0]
 
     def currents(self, coeff: np.ndarray, lam, cells: tuple) -> np.ndarray:
         """J (L,) for lam (L,). A stack lam (n, L) with one coeff (dim,), or
@@ -452,17 +448,17 @@ class VelocityField:
         return self._velocities_of(vals, lam, shift, cells, time)
 
     def _velocities_of(self, vals: np.ndarray, lam, shift, cells, time) -> np.ndarray:
-        """v = J / P from forms of one tuple, checked in this order: P's
-        imaginary part, the node floor, the current forms' imaginary parts
-        (see _currents_of). vals (2L + 1,) with lam (L,) is one
-        configuration. vals (n, 2L + 1) with lam (n, L) is a stack of rows,
-        whose time, a float or (n,), may differ between rows; a NodeError
-        names the first row at a node in ``row``."""
-        p = self._probability_of(vals)
+        """v = J / P from forms of one tuple, after the node floor. vals
+        (2L + 1,) with lam (L,) is one configuration. vals (n, 2L + 1) with
+        lam (n, L) is a stack of rows, whose time, a float or (n,), may
+        differ between rows; a NodeError names the first row at a node in
+        ``row``."""
         if vals.ndim == 1:
+            p = vals[0]
             if p <= self.node_floor:
                 raise NodeError(cells, p, time)
             return self._currents_of(vals, lam, shift) / p
+        p = vals[:, 0]
         low = np.flatnonzero(p <= self.node_floor)
         if low.size:
             row = int(low[0])
@@ -556,21 +552,20 @@ def _float_step(field: VelocityField, vals: np.ndarray, cells: tuple, t: float,
     solution, the error estimate and the last stage f(t + h, y_new), all
     lists of Python floats.
 
-    The stage rows are checked once (_stage_nodes), as in the block path;
-    a row at a node raises the NodeError of the first stage that reads it,
-    at that stage's time. Then the rows become lists, and every number is
+    The stage rows meet the node floor once (_stage_nodes), as in the block
+    path; a row at a node raises the NodeError of the first stage that reads
+    it, at that stage's time. Then the rows become lists, and every number is
     the one the block path's per-row arithmetic (_dp_stages) gives: each
     stage input and the error sum the nonzero tableau entries left to
     right, and a stage is ((y_i + shift) X + Y) / P. The stages are
     written out one by one, each input inside its stage's comprehension,
     because a loop over the tableau rows costs about a tenth more at L = 5.
     """
-    re = vals.real
-    first = _stage_nodes(field, re[:, :1], vals[:, None])
+    first = _stage_nodes(field, vals[:, :1])
     if first is not None and first[0] < _STAGE_C.size:
         row = int(first[0])
-        raise NodeError(cells, re[row, 0], t + _DP_C[row + 1] * h)
-    rows = re.tolist()
+        raise NodeError(cells, vals[row, 0], t + _DP_C[row + 1] * h)
+    rows = vals.tolist()
     n_b = len(y)
     shift = [0.5 - n for n in cells]
     (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
@@ -604,36 +599,15 @@ def _forms_at(field: VelocityField, coeff0: np.ndarray, m_e: np.ndarray, t0: flo
     return field._forms(coeff0 * np.exp(m_e * (times - t0)[:, None]), cells)
 
 
-def _stage_nodes(field: VelocityField, p: np.ndarray, vals=None):
-    """Check the stage rows of a step for m rows at once, with the outcome
-    of one velocities call per stage over the rows still live: each stage
-    checks P's imaginary part, then the node floor, then the current forms'
-    imaginary parts (see _currents_of), and a row at a node leaves the later
-    stages. p (S, m) holds Re P and vals the forms (S, m, 2L + 1), or None
-    for forms whose imaginary parts are known to pass. Returns each row's
-    first stage at a node (S if none), or None when every row passes every
-    stage; raises the NumericError of the first stage call that would
-    fail."""
-    symmetric = field._checks_currents
-    if p.min() > field.node_floor and (
-            vals is None
-            # |Im P| and |Im X| + |Im Y| (tolerance >= 1e-9) within bounds
-            or np.abs((vals if symmetric else vals[..., :1]).imag).max() <= 1e-10):
+def _stage_nodes(field: VelocityField, p: np.ndarray):
+    """The node floor on the stage rows of a step, for m rows at once: p
+    (S, m) holds P at the S stage times. Returns each row's first stage at a
+    node (S if none), as one velocities call per stage over the rows still
+    live would find it, or None when no row meets a node."""
+    if p.min() > field.node_floor:
         return None
-    n_stages = p.shape[0]
     node = p <= field.node_floor
-    first = np.where(node.any(axis=0), node.argmax(axis=0), n_stages)
-    if vals is not None:
-        im = np.abs(vals.imag)
-        imag, bounds = im[..., 0], field._current_form_bounds(im)
-        stage = np.arange(n_stages)[:, None]
-        # the rows each stage call sees, before and after its node aborts
-        seen, kept = stage <= first, stage < first
-        for s in range(n_stages):
-            field._check_probability_imag(imag[s, seen[s]].max(initial=0.0))
-            if symmetric:
-                field._check_current_bounds(bounds[s, kept[s]].max(axis=0, initial=0.0).tolist())
-    return first
+    return np.where(node.any(axis=0), node.argmax(axis=0), p.shape[0])
 
 
 @dataclass
@@ -934,9 +908,10 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
     block. Each lockstep iteration reads the forms of every stepping row at
     its five new stage times from the Chebyshev tables of FormTables over
     [t0, last record time] (one vectorised evaluation per _FORMS_ROWS rows),
-    checks the five stage rows once in stage order (_stage_nodes: the
-    errors, node aborts and abort times of one velocities call per stage),
-    drops the rows at a node and runs the six stages as array arithmetic.
+    checks the five stage rows against the node floor once in stage order
+    (_stage_nodes: the node aborts and abort times of one velocities call per
+    stage), drops the rows at a node and runs the six stages as array
+    arithmetic.
     A first stage that is not carried over from the last step is one
     stacked VelocityField.velocities call per tuple. A table depends only
     on its tuple, panel and the span, and every other operation is row by
@@ -1061,23 +1036,18 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
             continue
 
         # the forms at the five new stage times of every stepping row, from
-        # the tables (per _FORMS_ROWS rows), and their checks in stage order
+        # the tables (per _FORMS_ROWS rows), and their node floor in stage order
         frozen = cells[act]
         stage_t = ta[:, None] + _STAGE_C * h_try[:, None]
         rows, x = tables.locate(code[act], stage_t)
         rows, x = rows.T, x.T                   # (5, rows): stage-major
         forms = np.empty((_STAGE_C.size, act.size, 2 * n_b + 1))
-        imag = None if tables.clean[rows].all() else np.empty_like(forms)
         for lo in range(0, act.size, _FORMS_ROWS):
             pos = slice(lo, lo + _FORMS_ROWS)
-            at_rows, at_x = rows[:, pos].ravel(), x[:, pos].ravel()
-            forms[:, pos] = tables.evaluate(tables.re, at_rows, at_x).reshape(
+            forms[:, pos] = tables.evaluate(rows[:, pos].ravel(), x[:, pos].ravel()).reshape(
                 _STAGE_C.size, -1, forms.shape[2])
-            if imag is not None:
-                imag[:, pos] = tables.evaluate(tables.im, at_rows, at_x).reshape(
-                    _STAGE_C.size, -1, forms.shape[2])
         p_stage = forms[..., 0]
-        first = _stage_nodes(field, p_stage, None if imag is None else forms + 1j * imag)
+        first = _stage_nodes(field, p_stage)
         if first is not None:
             live = first == _STAGE_C.size
             for pos in np.flatnonzero(~live).tolist():
@@ -1142,10 +1112,19 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
 
 
 def _output_grid(t0: float, t_final: float, output_dt: float) -> np.ndarray:
+    """The sample times from t0 to t_final every output_dt, with t_final
+    last. Each sample after the first costs at least one step, so a grid of
+    more than MAX_STEPS + 1 samples cannot finish and raises InputError
+    before it is made."""
     if output_dt <= 0:
         raise InputError("output_dt must be positive")
     span = t_final - t0
     sgn = 1.0 if span >= 0 else -1.0
+    if abs(span) / output_dt > MAX_STEPS:
+        raise InputError(
+            f"t_final = {t_final:g} and output_dt = {output_dt:g} ask for more than "
+            f"{MAX_STEPS + 1} samples from t = {t0:g}, more than a run's {MAX_STEPS} steps"
+        )
     n = int(math.floor(abs(span) / output_dt + 1e-9))
     times = t0 + sgn * output_dt * np.arange(n + 1)
     if abs(times[-1] - t_final) > 1e-12 * max(1.0, abs(t_final)):

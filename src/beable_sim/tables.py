@@ -1,13 +1,14 @@
 """Chebyshev tables in time of a velocity field's forms, for the ensemble path.
 
 A cell tuple's forms at t (P, X_ell and Y_ell, see dynamics.VelocityField)
-are quadratic forms in the state coefficients coeff0 exp(m_e (t - t0)):
-trigonometric polynomials in t whose frequencies are energy differences, at
-most E_max - E_min. FormTables cuts a span into panels of width w with
-(E_max - E_min) w <= _PANEL_PHASE and interpolates every form of each
-visited tuple on each panel at the _CHEB_NODES Chebyshev points. In the
-panel's coordinate x in [-1, 1] a frequency turns the phase by at most 0.4
-per unit of x, so the degree-11 interpolant is within about
+are real quadratic forms in the state coefficients coeff0 exp(m_e (t - t0))
+(the field checks each tuple's operators for Hermiticity when it builds
+them): trigonometric polynomials in t whose frequencies are energy
+differences, at most E_max - E_min. FormTables cuts a span into panels of
+width w with (E_max - E_min) w <= _PANEL_PHASE and interpolates every form
+of each visited tuple on each panel at the _CHEB_NODES Chebyshev points. In
+the panel's coordinate x in [-1, 1] a frequency turns the phase by at most
+0.4 per unit of x, so the degree-11 interpolant is within about
 2 J_12(0.4) ~ 2e-17 of the form's size and roundoff dominates (Trefethen,
 Approximation Theory and Approximation Practice, SIAM 2013, ch. 8).
 """
@@ -48,11 +49,9 @@ class FormTables:
     span keeps only the windows its rows are in. A span and a model with
     more than _TABLE_KEYS (cell tuple, window) pairs raise NumericError.
 
-    A table row (one panel of one tuple) holds the real and the imaginary
-    parts of the coefficients (_CHEB_NODES, 2L + 1) apart, and ``clean``
-    says whether the sums of the coefficients' |imaginary parts| keep every
-    check of dynamics._stage_nodes below half its tolerance on the whole
-    panel: rows on clean panels take only the real parts.
+    A table row (one panel of one tuple) holds the coefficients
+    (_CHEB_NODES, 2L + 1) of the forms, which are real: the field checks a
+    tuple's operators once, when it builds them.
     """
 
     def __init__(self, field: VelocityField, coeff0: np.ndarray, t0: float, t_end: float):
@@ -76,13 +75,12 @@ class FormTables:
         k = np.arange(_CHEB_NODES)
         angles = np.pi * np.outer(k, k + 0.5) / _CHEB_NODES
         self.node_frac = 0.5 * (np.cos(angles[1]) + 1.0)   # nodes as panel fractions
-        # values -> coefficients, complex for the GEMM that _forms also uses
+        # values -> coefficients, complex so that the product runs the complex
+        # GEMM that _forms also runs: a process's first real GEMM costs it
+        # about 0.25 MB of resident memory (OpenBLAS 0.3.31, x86_64)
         self.fit = (2.0 / _CHEB_NODES) * np.cos(angles).astype(complex)
         self.fit[0] *= 0.5
-        n_f = 2 * field.n_beables + 1
-        self.re = np.empty((_CHEB_NODES, 0, n_f))
-        self.im = np.empty_like(self.re)
-        self.clean = np.empty(0, dtype=bool)
+        self.coef = np.empty((_CHEB_NODES, 0, 2 * field.n_beables + 1))
         # 1 + the first table row of each (code, window) key, 0 if not filled
         self._first_row = np.zeros(n_keys, dtype=np.intp)
         self._filled = []
@@ -125,30 +123,23 @@ class FormTables:
                                  cells)[0]
         # coefficient-major, coef[k, panel] = c_k of every form, from one GEMM
         vals = vals.reshape(panels.size, _CHEB_NODES, -1).transpose(1, 0, 2)
-        coef = (self.fit @ vals.reshape(_CHEB_NODES, -1)).reshape(vals.shape)
-        re, im = coef.real, coef.imag
-        bound = np.abs(im).sum(axis=0)
-        clean = bound[:, 0] <= 0.5e-10
-        if self.field._checks_currents:
-            clean &= (self.field._current_form_bounds(bound).max(axis=1)
-                      <= 0.5 * self.field._imag_tol)
+        coef = (self.fit @ vals.reshape(_CHEB_NODES, -1)).real.reshape(vals.shape)
         lo, hi = self._used, self._used + panels.size
-        if hi > self.clean.size:
-            cap = max(2 * self.clean.size, hi)
-            grown = np.empty((2, _CHEB_NODES, cap, re.shape[2]))
-            grown[0, :, :lo], grown[1, :, :lo] = self.re[:, :lo], self.im[:, :lo]
-            self.re, self.im = grown
-            self.clean = np.concatenate([self.clean[:lo], np.empty(cap - lo, dtype=bool)])
-        self.re[:, lo:hi], self.im[:, lo:hi], self.clean[lo:hi] = re, im, clean
+        if hi > self.coef.shape[1]:
+            grown = np.empty((_CHEB_NODES, max(2 * self.coef.shape[1], hi), coef.shape[2]))
+            grown[:, :lo] = self.coef[:, :lo]
+            self.coef = grown
+        self.coef[:, lo:hi] = coef
         self._first_row[key] = lo + 1
         self._filled.append(key)
         self._used = hi
 
-    def evaluate(self, table: np.ndarray, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Sum_k c_k T_k(x) of table (the real or the imaginary parts) at
-        table rows and coordinates x, both (n,): forms (n, 2L + 1). Row by
-        row: the recurrence and the sum are elementwise, in the order of k,
-        and each c_k is gathered on its own, (n, 2L + 1) at a time."""
+    def evaluate(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Sum_k c_k T_k(x) at table rows and coordinates x, both (n,): forms
+        (n, 2L + 1). Row by row: the recurrence and the sum are elementwise,
+        in the order of k, and each c_k is gathered on its own, (n, 2L + 1)
+        at a time."""
+        table = self.coef
         out = table[0].take(rows, axis=0)
         out += x[:, None] * table[1].take(rows, axis=0)
         t_prev, t_k = np.ones_like(x), x

@@ -46,7 +46,7 @@ from .dynamics import (
     _lambda_values,
 )
 from .errors import InputError
-from .linalg import QuantumState, evolve, expectation
+from .linalg import QuantumState, evolve
 
 ENV_THREADS = "BEABLE_SIM_THREADS"
 
@@ -84,20 +84,30 @@ def sample_initial(state: QuantumState, beable_set: BeableSet,
 # ---------------------------------------------------------------------------
 # single-beable exact solutions
 
+def _cell_expectations(state: QuantumState, b: BeableOperator) -> np.ndarray:
+    """Re <t|P(n)|t> for every cell n of one beable, from one product of the
+    stacked projectors with the state and one with its conjugate."""
+    if state.dim != b.dim:
+        raise InputError(f"dimension mismatch: state {state.dim}, beable {b.dim}")
+    psi = state.amplitudes
+    images = (np.concatenate([p.entries for p in b.projectors]) @ psi).reshape(b.n_cells, -1)
+    return (images @ psi.conj()).real
+
+
 def level_expectation(state: QuantumState, b: BeableOperator, lam: float) -> float:
     """<t|L(lambda)|t>, the conserved level value of one-beable dynamics:
     sum_{j<n} <P(j)> + (lambda - n + 1/2) <P(n)> with n the cell of lambda,
     from the cell projectors' expectations, with no dense L(lambda)."""
     n = cell_index(b, lam)
-    below = sum(expectation(state, p).real for p in b.projectors[:n])
-    return below + (lam - n + 0.5) * expectation(state, b.projectors[n]).real
+    weights = _cell_expectations(state, b)
+    return float(sum(weights[:n].tolist()) + (lam - n + 0.5) * weights[n])
 
 
 def cell_weights(state: QuantumState, b: BeableOperator) -> np.ndarray:
     """<t|P(n)|t> for every cell n of one beable, clipped at 0: what
     single_beable_levelset inverts. One vector serves every trajectory
     probed in the same state."""
-    return np.clip([expectation(state, p).real for p in b.projectors], 0.0, None)
+    return np.clip(_cell_expectations(state, b), 0.0, None)
 
 
 def single_beable_levelset(weights: np.ndarray, level0: float) -> float:
@@ -198,8 +208,7 @@ def continuity_residual(field: VelocityField, state: QuantumState, lambdas,
     coeff = field.state_coefficients(state)
     phase = np.exp(-1j * h * field.propagator.energies)
     vals, shift = field._forms(np.stack([coeff * phase, coeff * phase.conj(), coeff]), cells)
-    p_plus, p_minus = field._probability_of(vals[:2])
-    dp_dt = (p_plus - p_minus) / (2.0 * h)
+    dp_dt = (vals[0, 0] - vals[1, 0]) / (2.0 * h)
     n_b = len(cells)
     shifts = h * np.eye(n_b)
     j = field._currents_of(vals[2], np.concatenate([lam + shifts, lam - shifts]), shift)

@@ -29,13 +29,29 @@ def multinomial_tv_bound(quantum_rows, n, seed, quantile=0.999, reps=2000):
     return worst
 
 
-def tuple_stack(field, cells):
-    """The tuple's stored operators [Pi, X_0..X_{L-1}, interior Y_ell] as a
+def stack_view(gemm):
+    """The stored operators [Pi, X_0..X_{L-1}, interior Y_ell] as a
     (K, dim, dim) view of the (dim, K dim) matrix that _forms multiplies by,
-    so that writing to it changes the field."""
-    gemm = field._tuple_ops(cells)[0]
+    so that writing to it changes that matrix."""
     dim = gemm.shape[0]
     return gemm.reshape(dim, -1, dim).transpose(1, 2, 0)
+
+
+def tuple_stack(field, cells):
+    """The tuple's stored operators as a (K, dim, dim) view (stack_view)."""
+    return stack_view(field._tuple_ops(cells)[0])
+
+
+def build_with_defect(monkeypatch, field, slot, defect):
+    """Make field build every tuple's stack with defect (dim, dim) added to
+    its stored matrix at slot, before the build checks the stack."""
+    build = field._tuple_stack
+
+    def defective(cells):
+        gemm, expand = build(cells)
+        stack_view(gemm)[slot] += defect
+        return gemm, expand
+    monkeypatch.setattr(field, "_tuple_stack", defective)
 
 
 def random_state(rng, dim, time=0.0):

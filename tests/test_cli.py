@@ -245,6 +245,14 @@ class TestVerify:
         cfg = write_config(tmp_path, {"preset": "two-state-rabi"})
         assert main(["verify", "--config", cfg, "--strict"]) == 0
 
+    def test_a_backward_run_passes(self, tmp_path, capsys):
+        # simulate and ensemble run backward; so does every check of verify
+        cfg = write_config(tmp_path, {"preset": "two-state-rabi", "run": {"t_final": -1.5}})
+        for strict in ([], ["--strict"]):
+            assert main(["verify", "--config", cfg, "--json", *strict]) == 0
+            checks = json.loads(capsys.readouterr().out)["checks"]
+            assert all(c["status"] == "pass" for c in checks), checks
+
 
 class TestConfigCommand:
     def test_expands_preset(self, capsys):
@@ -276,6 +284,20 @@ def test_a_rejected_run_leaves_no_output_directory(tmp_path, capsys, argv):
     assert main([argv[0], "--config", cfg, *argv[1:], "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t_final", [1e9, 1e300])
+def test_a_grid_that_cannot_finish_exits_one(tmp_path, capsys, t_final):
+    # every sample after the first costs a step, so more than MAX_STEPS + 1
+    # samples cannot finish; the grid is refused before it is made
+    cfg = write_config(tmp_path, {"preset": "two-state-rabi",
+                                  "run": {"t_final": t_final, "output_dt": 1e-9}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "t_final" in err and "output_dt" in err
     assert not out.exists()
 
 

@@ -8,6 +8,7 @@ import beable_sim as bs
 from beable_sim.config import build_model, parse_config
 from beable_sim.dynamics import (
     CROSSING_TOL,
+    MAX_STEPS,
     Symmetrization,
     _aim,
     _aim_rows,
@@ -30,7 +31,7 @@ from beable_sim.errors import InputError, NodeError, NumericError
 from beable_sim.tables import FormTables
 from beable_sim.verification import _draw_lambda, _initial_cdf
 
-from conftest import I2, SZ, random_hermitian, random_state, tuple_stack
+from conftest import I2, SZ, build_with_defect, random_hermitian, random_state, tuple_stack
 
 
 def two_qubit_set():
@@ -348,7 +349,7 @@ class TestStackedEvaluation:
                                       rabi.field.velocities(stack, lam, (0,), times))
 
     @pytest.mark.parametrize("ell", [0, 2])
-    def test_non_hermitian_tuple_operator_names_the_component(self, rng, ell):
+    def test_non_hermitian_tuple_operator_names_the_component(self, rng, monkeypatch, ell):
         bset, prop, state = l3_commuting_model(rng)
         coeff = bs.VelocityField(bset, prop).state_coefficients(state)
         tuples, probs = bs.quantum_distribution(state, bset)
@@ -356,20 +357,33 @@ class TestStackedEvaluation:
         lam = np.array(cells, dtype=float)
         for symmetrization in Symmetrization:
             field = bs.VelocityField(bset, prop, symmetrization)
-            ops = tuple_stack(field, cells)
-            ops[1 + ell] += 1e-3j * np.eye(bset.dim)   # X_ell += i/1000, stored in every tuple
+            # X_ell += i/1000 in every tuple, as its stack is built
+            build_with_defect(monkeypatch, field, 1 + ell, 1e-3j * np.eye(bset.dim))
             if symmetrization is Symmetrization.SYMMETRIC_AVERAGE:
                 with pytest.raises(NumericError, match=f"current component {ell} "):
                     field.velocities(coeff, lam, cells, 0.0)
+                # the tuple was not cached: every call raises
+                with pytest.raises(NumericError, match=f"current component {ell} "):
+                    field.probability(coeff, cells)
             else:
                 # the ordered variant takes the real part by construction
                 field.velocities(coeff, lam, cells, 0.0)
 
+    @pytest.mark.parametrize("symmetrization", list(Symmetrization))
+    def test_a_probability_defect_raises(self, rng, monkeypatch, symmetrization):
+        bset, prop, state = l3_commuting_model(rng)
+        field = bs.VelocityField(bset, prop, symmetrization)
+        coeff = field.state_coefficients(state)
+        build_with_defect(monkeypatch, field, 0, 1e-3j * np.eye(bset.dim))
+        for cells in bs.all_cell_tuples(bset)[:3]:
+            with pytest.raises(NumericError, match="probability has imaginary part"):
+                field.probability(coeff, cells)
+
     @pytest.mark.parametrize("ell", [0, 2])
-    def test_roundoff_in_the_forms_passes_far_outside_the_cell(self, rng, ell):
+    def test_roundoff_in_the_forms_passes_far_outside_the_cell(self, rng, monkeypatch, ell):
         # a DP45 stage input can lie 4e7 cells away; there u = 4e7 magnifies
         # an imaginary roundoff of 1e-15 in X_ell to 4e-8 in J_ell, beyond the
-        # tolerance, but the forms themselves are Hermitian to roundoff
+        # tolerance, but the operators themselves are Hermitian to roundoff
         bset, prop, state = l3_commuting_model(rng)
         clean = bs.VelocityField(bset, prop)
         coeff = clean.state_coefficients(state)
@@ -378,7 +392,8 @@ class TestStackedEvaluation:
         lam = np.array(cells, dtype=float)
         lam[ell] += 4e7
         field = bs.VelocityField(bset, prop)
-        tuple_stack(field, cells)[1 + ell] += 1e-15j * np.eye(bset.dim)
+        for slot in (0, 1 + ell):
+            build_with_defect(monkeypatch, field, slot, 1e-15j * np.eye(bset.dim))
         assert 4e7 * 1e-15 * np.vdot(coeff, coeff).real > field._imag_tol
         np.testing.assert_allclose(field.velocities(coeff, lam, cells, 0.0),
                                    clean.velocities(coeff, lam, cells, 0.0), rtol=1e-12)
@@ -386,6 +401,64 @@ class TestStackedEvaluation:
         np.testing.assert_allclose(field.velocities(rows, np.stack([lam, lam]), cells, 0.0),
                                    clean.velocities(rows, np.stack([lam, lam]), cells, 0.0),
                                    rtol=1e-12)
+
+    def test_a_complex_ordering_weight_names_its_component(self, rng, monkeypatch):
+        # a weight that is not real-symmetric makes X_1 and Y_1 non-Hermitian
+        # where the stack is made, not after it
+        import beable_sim.dynamics as dyn
+
+        bset, prop, state = l3_commuting_model(rng)
+        built = dyn._ordering_weights
+
+        def skewed(inside, symmetrization):
+            weights = built(inside, symmetrization)
+            weights[1] = weights[1] * (1.0 + 1e-3j)
+            return weights
+        monkeypatch.setattr(dyn, "_ordering_weights", skewed)
+        cells = (0, 1, 0)                   # an interior cell of beable 1
+        for symmetrization in Symmetrization:
+            field = bs.VelocityField(bset, prop, symmetrization)
+            coeff = field.state_coefficients(state)
+            if symmetrization is Symmetrization.SYMMETRIC_AVERAGE:
+                with pytest.raises(NumericError, match="current component 1 "):
+                    field.currents(coeff, np.array(cells, dtype=float), cells)
+            else:
+                field.currents(coeff, np.array(cells, dtype=float), cells)
+
+    def test_y_bounds_are_read_through_the_expansion(self, rng, monkeypatch):
+        # beable 1 of the L = 3 set has cells 0, 1 and 2. A defect in its
+        # stored Y (interior cell 1) is named; a defect in X_1 worth 3/4 of
+        # the tolerance passes in the bottom cell (Y = 0) and raises in the
+        # top cell, where Y = -X counts it twice
+        bset, prop, state = l3_commuting_model(rng)
+        field = bs.VelocityField(bset, prop)
+        coeff = field.state_coefficients(state)
+        build_with_defect(monkeypatch, field, 1 + 3, 1e-3j * np.eye(bset.dim))
+        with pytest.raises(NumericError, match="current component 1 "):
+            field.probability(coeff, (0, 1, 0))
+        field = bs.VelocityField(bset, prop)
+        build_with_defect(monkeypatch, field, 1 + 1,
+                          0.75j * field._imag_tol / bset.dim * np.eye(bset.dim))
+        field.probability(coeff, (0, 0, 0))
+        with pytest.raises(NumericError, match="current component 1 "):
+            field.probability(coeff, (0, 2, 0))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(-16, 0))
+    def test_the_build_bound_holds_for_every_unit_state(self, seed, dim, exponent):
+        # |Im <psi|A|psi>| <= dim max|A - A^H| / 2 for unit psi: for random
+        # states, and for the top eigenvector of the anti-Hermitian part,
+        # which attains its largest value (plus the roundoff of the form)
+        rng = np.random.default_rng(seed)
+        a = random_hermitian(rng, dim).entries
+        skew = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        a = a + 10.0 ** exponent * (skew - skew.conj().T)
+        bound = 0.5 * dim * np.abs(a - a.conj().T).max()
+        anti = (a - a.conj().T) / 2j
+        states = [random_state(rng, dim).amplitudes for _ in range(20)]
+        states.append(np.linalg.eigh(anti)[1][:, -1])
+        for psi in states:
+            assert abs(np.vdot(psi, a @ psi).imag) <= bound * (1.0 + 1e-12) + 1e-14
 
     @pytest.mark.parametrize("symmetrization", list(Symmetrization))
     def test_stack_keeps_only_interior_y_and_matches_the_full_stack(self, rng, symmetrization):
@@ -654,15 +727,15 @@ class TestBlockIntegration:
             assert r.abort_cells == (1,)
             assert t_node <= r.abort_time < t_node + 0.1
 
-    def test_non_hermitian_current_raises(self, rng):
+    def test_non_hermitian_current_raises(self, rng, monkeypatch):
         bset, prop, state = l3_commuting_model(rng)
         tuples, probs = bs.quantum_distribution(state, bset)
         cells = tuples[int(np.argmax(probs))]
         starts = np.array(cells) + rng.uniform(-0.1, 0.1, size=(5, len(cells)))
         for symmetrization in Symmetrization:
             field = bs.VelocityField(bset, prop, symmetrization)
-            ops = tuple_stack(field, cells)
-            ops[1 + 1] += 1e-3j * np.eye(bset.dim)   # X_1 += i/1000, stored in every tuple
+            # X_1 += i/1000 in every tuple, as its stack is built
+            build_with_defect(monkeypatch, field, 1 + 1, 1e-3j * np.eye(bset.dim))
             if symmetrization is Symmetrization.SYMMETRIC_AVERAGE:
                 with pytest.raises(NumericError, match="current component 1 "):
                     _integrate_block(field, state, starts, [0.5], **BLOCK_TOL)
@@ -670,32 +743,32 @@ class TestBlockIntegration:
                 # the ordered variant takes the real part by construction
                 _integrate_block(field, state, starts, [0.5], **BLOCK_TOL)
 
-    def test_a_defect_that_appears_after_the_start_raises(self, rng):
+    def test_a_defect_that_appears_after_the_start_raises(self, rng, monkeypatch):
         # an anti-Hermitian defect in X_1 whose form has no imaginary part at
-        # t = 0, so the fresh first stages pass and only the stage forms,
-        # read from the tables, can see it
+        # t = 0 but has one at later times: the build sees the operator, so
+        # the first call raises, at t = 0
         bset, prop, state = l3_commuting_model(rng)
         tuples, probs = bs.quantum_distribution(state, bset)
         cells = tuples[int(np.argmax(probs))]
         starts = np.array(cells) + rng.uniform(-0.1, 0.1, size=(5, len(cells)))
-        field = bs.VelocityField(bset, prop)
-        coeff0 = field.state_coefficients(state)
+        coeff0 = bs.VelocityField(bset, prop).state_coefficients(state)
         a, b = np.argsort(np.abs(coeff0))[-2:]
         unit = np.zeros((2, bset.dim, bset.dim), dtype=complex)
         unit[0, a, b] = unit[0, b, a] = 1e-3j
         unit[1, a, b], unit[1, b, a] = -1e-3, 1e-3
-        ops = tuple_stack(field, cells)
-        im0 = []
-        for d in unit:
-            ops[1 + 1] += d
-            im0.append(field._forms(coeff0, cells)[0][1 + 1].imag)
-            ops[1 + 1] -= d
-        ops[1 + 1] += im0[1] * unit[0] - im0[0] * unit[1]
-        assert abs(field._forms(coeff0, cells)[0][1 + 1].imag) < 1e-15
-        times = state.time + np.array([0.1, 0.2])
-        assert abs(direct_forms(field, state, cells, times)[:, 1 + 1].imag).min() > 1e-8
-        with pytest.raises(NumericError, match="current component 1 "):
-            _integrate_block(field, state, starts, [0.3], **BLOCK_TOL)
+        im0 = [np.vdot(coeff0, d @ coeff0).imag for d in unit]
+        defect = im0[1] * unit[0] - im0[0] * unit[1]
+        assert abs(np.vdot(coeff0, defect @ coeff0).imag) < 1e-15
+        later = coeff0 * np.exp(-1j * prop.energies * 0.1)
+        assert abs(np.vdot(later, defect @ later).imag) > 1e-8
+        for run in ("first call", "block"):
+            field = bs.VelocityField(bset, prop)
+            build_with_defect(monkeypatch, field, 1 + 1, defect)
+            with pytest.raises(NumericError, match="current component 1 "):
+                if run == "first call":
+                    field.velocities(coeff0, starts[0], cells, state.time)
+                else:
+                    _integrate_block(field, state, starts, [0.3], **BLOCK_TOL)
 
     def test_step_underflow_raises_on_both_paths(self, rabi, monkeypatch):
         # an error estimate no step can satisfy must surface as a numeric
@@ -798,8 +871,7 @@ def table_forms(tables, cells, times):
     """The tables' forms (n, 2L + 1) of one cell tuple at times (n,)."""
     code = np.ravel_multi_index(cells, tables.field.beable_set.cell_counts)
     rows, x = tables.locate(np.array([code]), np.asarray(times, dtype=float)[None])
-    return (tables.evaluate(tables.re, rows[0], x[0])
-            + 1j * tables.evaluate(tables.im, rows[0], x[0]))
+    return tables.evaluate(rows[0], x[0])
 
 
 def direct_forms(field, state0, cells, times):
@@ -894,7 +966,7 @@ class TestFormTables:
         starts = np.array([2.0 * np.arccos(np.sqrt(0.2)) - 0.25 * h, 0.3])
         stage_t = starts[:, None] + _STAGE_C * h
         rows, x = tables.locate(np.array([1, 1]), stage_t)
-        p = np.array([tables.evaluate(tables.re, r, xi)[:, 0] for r, xi in zip(rows.T, x.T)])
+        p = np.array([tables.evaluate(r, xi)[:, 0] for r, xi in zip(rows.T, x.T)])
         first = _stage_nodes(field, p)
         assert first.tolist() == [1, 5]
         m_e = -1j * field._energies
@@ -910,61 +982,78 @@ class TestFormTables:
     def per_stage_calls(field, vals):
         """Each row's first stage at a node (S if none) from one stacked
         _velocities_of call per stage over the rows still live, retried
-        without each row at a node, or the message of the error raised."""
+        without each row at a node, and the velocities (S, m, 1) of those
+        calls (nan where a row is not live)."""
         n_stages, m = vals.shape[:2]
         first = np.full(m, n_stages)
+        v = np.full((n_stages, m, 1), np.nan)
         lam, shift = np.zeros((m, 1)), np.full((m, 1), 0.5)
-        try:
-            for s in range(n_stages):
-                live = np.flatnonzero(first == n_stages)
-                while live.size:
-                    try:
-                        field._velocities_of(vals[s, live], lam[live], shift[live], (1,), 0.0)
-                        break
-                    except NodeError as node:
-                        first[live[node.row]] = s
-                        live = np.delete(live, node.row)
-        except NumericError as err:
-            return str(err)
-        return first.tolist()
+        for s in range(n_stages):
+            live = np.flatnonzero(first == n_stages)
+            while live.size:
+                try:
+                    v[s, live] = field._velocities_of(vals[s, live], lam[live], shift[live],
+                                                      (1,), 0.0)
+                    break
+                except NodeError as node:
+                    first[live[node.row]] = s
+                    live = np.delete(live, node.row)
+        return first.tolist(), v
 
-    @pytest.mark.parametrize("defect, raises", [
+    @pytest.mark.parametrize("defect, seen", [
         (None, False), (("P", 0, 1), True), (("P", 0, 2), False), (("X", 0, 1), False),
         (("X", 0, 0), True), (("X", 1, 3), True)])
-    def test_stage_checks_follow_one_call_per_stage(self, rabi, defect, raises):
-        # row 0 meets a node at stage 1; a defect at (form, row, stage) is
-        # seen by a stage call only while its row is live there: P's
-        # imaginary part is checked before the node, the currents after it
-        vals = np.full((5, 2, 3), 0.5, dtype=complex)
+    def test_stage_checks_follow_one_call_per_stage(self, rabi, defect, seen):
+        # row 0 meets a node at stage 1; a defect at (form, row, stage), a
+        # shift of 1/1000 there, is seen by a stage call only while its row is
+        # live there: P decides the node (here lifting row 0 off it), the
+        # currents follow it. The stacked stages, _stage_nodes and then
+        # _forms_stage where a row is live, give what the stage calls give
+        vals = np.full((5, 2, 3), 0.5)
         vals[1, 0, 0] = 0.0
+        clean = self.per_stage_calls(rabi.field, vals)
         if defect is not None:
             form, row, stage = defect
-            vals[stage, row, 0 if form == "P" else 1] += 1e-3j
-        want = self.per_stage_calls(rabi.field, vals)
-        try:
-            got = _stage_nodes(rabi.field, vals[..., 0].real, vals)
-            got = got.tolist()
-        except NumericError as err:
-            got = str(err)
-        assert got == want
-        assert isinstance(want, str) == raises and (raises or want == [1, 5])
+            vals[stage, row, 0 if form == "P" else 1] += 1e-3
+        want_first, want_v = self.per_stage_calls(rabi.field, vals)
+        first = _stage_nodes(rabi.field, vals[..., 0])
+        first = [5, 5] if first is None else first.tolist()
+        assert first == want_first
+        stage = _forms_stage(vals, np.full((2, 1), 0.5))
+        with np.errstate(divide="ignore"):     # P = 0 at the node, masked below
+            got_v = np.stack([stage(s + 1, np.zeros((2, 1))) for s in range(5)])
+        live = np.arange(5)[:, None] < np.array(first)
+        np.testing.assert_array_equal(np.where(live[..., None], got_v, np.nan), want_v)
+        changed = want_first != clean[0] or not np.array_equal(want_v, clean[1], equal_nan=True)
+        assert changed == seen and (seen or want_first == [1, 5])
+
+    def test_stage_nodes_follow_one_call_per_stage(self, rabi):
+        # rows at a node at some (stage, row) pairs: each row's first stage
+        # at a node is the one where a velocities call per stage, over the
+        # rows still live, aborts it
+        layouts = [(), ((1, 0),), ((1, 0), (3, 0), (2, 1)), ((0, 1), (4, 1), (4, 0))]
+        for nodes in layouts:
+            vals = np.full((5, 2, 3), 0.5)
+            for stage, row in nodes:
+                vals[stage, row, 0] = 0.0
+            want = self.per_stage_calls(rabi.field, vals)[0]
+            got = _stage_nodes(rabi.field, vals[..., 0])
+            assert (got is None and want == [5, 5]) or got.tolist() == want, nodes
 
     @pytest.mark.parametrize("ell", [0, 2])
-    def test_a_defect_in_x_gives_the_per_stage_message(self, rng, ell):
+    def test_a_defect_in_x_gives_the_per_stage_message(self, rng, monkeypatch, ell):
+        # the tables fill from _forms, so a defect raises there, with the
+        # message of a velocities call
         bset, prop, state = l3_commuting_model(rng)
         tuples, probs = bs.quantum_distribution(state, bset)
         cells = tuples[int(np.argmax(probs))]
         field = bs.VelocityField(bset, prop)
-        tuple_stack(field, cells)[1 + ell] += 1e-3j * np.eye(bset.dim)
+        build_with_defect(monkeypatch, field, 1 + ell, 1e-3j * np.eye(bset.dim))
         coeff0 = field.state_coefficients(state)
         tables = FormTables(field, coeff0, 0.0, 1.0)
         stage_t = 0.4 + _STAGE_C * 0.05
-        vals = table_forms(tables, cells, stage_t)
-        code = np.ravel_multi_index(cells, bset.cell_counts)
-        rows, _ = tables.locate(np.array([code]), stage_t[None])
-        assert not tables.clean[rows].any()
         with pytest.raises(NumericError, match=f"current component {ell} ") as got:
-            _stage_nodes(field, vals.real[:, None, 0], vals[:, None])
+            table_forms(tables, cells, stage_t)
         lam = np.array(cells, dtype=float)
         with pytest.raises(NumericError) as want:
             field.velocities(coeff0 * np.exp(-1j * field._energies * stage_t[0]), lam, cells,
@@ -994,7 +1083,7 @@ class TestDormandPrinceStep:
         [0.2, 1] and normal X and Y, for a step of field."""
         n_b = field.n_beables
         cells = tuple(int(rng.integers(k)) for k in field.beable_set.cell_counts)
-        vals = rng.normal(size=(5, 2 * n_b + 1)) + 0j
+        vals = rng.normal(size=(5, 2 * n_b + 1))
         vals[:, 0] = rng.uniform(0.2, 1.0, size=5)
         y = np.array(cells) + rng.uniform(-0.5, 0.5, size=n_b)
         k1 = rng.normal(size=n_b)
@@ -1007,7 +1096,7 @@ class TestDormandPrinceStep:
         field = bs.VelocityField(*l3_commuting_model(rng)[:2])
         for _ in range(50):
             cells, vals, y, k1, h = self.random_step(rng, field)
-            re, shift = vals.real, 0.5 - np.array(cells)
+            re, shift = vals, 0.5 - np.array(cells)
             row = {c: i for i, c in enumerate(DP_C[1:6])}
 
             def rhs(c, lam):
@@ -1034,7 +1123,7 @@ class TestDormandPrinceStep:
             cells, vals, y, k1, h = self.random_step(rng, field)
             vals *= 10.0 ** rng.uniform(-3.0, 3.0, size=vals.shape[1])
             got = _float_step(field, vals, cells, 0.4, y.tolist(), h, k1.tolist())
-            stage = _forms_stage(vals.real[:, None], (0.5 - np.array(cells))[None])
+            stage = _forms_stage(vals[:, None], (0.5 - np.array(cells))[None])
             y_new, err, k = _dp_stages(y[None], np.array([[h]]), k1[None], stage)
             for a, b in zip(got, (y_new[0], err[0], k[6][0]), strict=True):
                 assert all(type(v) is float for v in a)
@@ -1100,19 +1189,20 @@ class TestDormandPrinceStep:
         assert cells == (1,) and p <= 0.2 and when == t + 0.3 * h
 
     @pytest.mark.parametrize("ell", [0, 2])
-    def test_batched_stages_check_the_current_forms(self, rng, ell):
-        # the batched stages bound the forms once per step; a defect in X_ell
-        # must still raise the error of one velocities call per stage
+    def test_batched_stages_check_the_current_forms(self, rng, monkeypatch, ell):
+        # a defect in X_ell raises the error of one velocities call per stage
+        # on the batched stages too
         bset, prop, state = l3_commuting_model(rng)
         tuples, probs = bs.quantum_distribution(state, bset)
         cells = tuples[int(np.argmax(probs))]
         lam = np.array(cells, dtype=float)
         t, h = 0.4, 0.05
         for symmetrization in Symmetrization:
+            clean = bs.VelocityField(bset, prop, symmetrization)
+            coeff0 = clean.state_coefficients(state)
+            k1 = clean.velocities(coeff0 * np.exp(-1j * clean._energies * t), lam, cells, t)
             field = bs.VelocityField(bset, prop, symmetrization)
-            coeff0 = field.state_coefficients(state)
-            k1 = field.velocities(coeff0 * np.exp(-1j * field._energies * t), lam, cells, t)
-            tuple_stack(field, cells)[1 + ell] += 1e-3j * np.eye(bset.dim)
+            build_with_defect(monkeypatch, field, 1 + ell, 1e-3j * np.eye(bset.dim))
             if symmetrization is Symmetrization.SYMMETRIC_AVERAGE:
                 messages = []
                 for batched in (False, True):
@@ -1293,6 +1383,13 @@ class TestIntegrateTrajectory:
         with pytest.raises(InputError):
             bs.integrate_trajectory(rabi.field, rabi.state0, [1.2],
                                     t_final=1.0, output_dt=0.0)
+
+    def test_a_grid_longer_than_the_step_limit_is_refused(self):
+        # MAX_STEPS + 1 samples can finish, one more cannot, either way in time
+        assert _output_grid(0.0, 0.5 * MAX_STEPS, 0.5).size == MAX_STEPS + 1
+        for t_final in (0.5 * MAX_STEPS + 0.5, -0.5 * MAX_STEPS - 0.5, 1e300):
+            with pytest.raises(InputError, match="t_final .* output_dt"):
+                _output_grid(0.0, t_final, 0.5)
 
 
 class TestContinuityEquation:

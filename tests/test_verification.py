@@ -11,7 +11,8 @@ from beable_sim.dynamics import _integrate_block
 from beable_sim.errors import InputError, NumericError
 from beable_sim.verification import _draw_lambda, _initial_cdf, _resolve_workers
 
-from conftest import SZ, multinomial_tv_bound, random_hermitian, random_state, tuple_stack
+from conftest import (SZ, build_with_defect, multinomial_tv_bound, random_hermitian,
+                      random_state)
 
 
 class TestSampleInitial:
@@ -433,10 +434,9 @@ class TestSingleThreadedBlas:
         assert rep.node_aborted_count == workers     # one block per worker, at 1 thread
         assert blas_threads() == 2
 
-    def test_restored_when_the_ensemble_raises(self):
+    def test_restored_when_the_ensemble_raises(self, monkeypatch):
         m = build_model(parse_config({"preset": "two-qubit"}))
-        for cells in bs.all_cell_tuples(m.beable_set):
-            tuple_stack(m.field, cells)[1] += 1e-3j * np.eye(m.beable_set.dim)
+        build_with_defect(monkeypatch, m.field, 1, 1e-3j * np.eye(m.beable_set.dim))
         with pytest.raises(NumericError, match="current component 0 "):
             bs.ensemble_equivariance(m.field, m.state0, 100, [0.5], seed=1, workers=1)
         assert blas_threads() == 2
