@@ -40,13 +40,17 @@ class BeableOperator:
         Eigenvalue attached to each cell integer.
     projectors : list of Operator
         Rank >= 1 spectral projector for each cell.
+    stacked_projectors : ndarray, shape (K dim, dim)
+        The projectors' matrices stacked row-wise, read-only: one product
+        with a state gives every cell's image. Each projector's entries are
+        a view of its slice, so the matrices are held once.
     ordering : tuple of int
         Permutation sending spectral (ascending-eigenvalue) group index to
         its cell integer; identity for the default ascending layout.
     """
 
-    __slots__ = ("label", "eigenvalues", "projectors", "ordering", "dim",
-                 "n_cells", "matrix")
+    __slots__ = ("label", "eigenvalues", "projectors", "stacked_projectors", "ordering",
+                 "dim", "n_cells", "matrix")
 
     def __init__(self, label: str, eigenvalues, projectors, ordering):
         self.label = str(label)
@@ -86,6 +90,13 @@ class BeableOperator:
         eig.setflags(write=False)
         self.eigenvalues = eig
         self.projectors = list(projectors)
+        # one copy of the matrices: each projector's entries become a
+        # read-only view of its rows in the stack
+        stacked = np.concatenate([p.entries for p in self.projectors])
+        stacked.setflags(write=False)
+        for n, p in enumerate(self.projectors):
+            p.entries = stacked[n * dim:(n + 1) * dim]
+        self.stacked_projectors = stacked
         self.ordering = order
         self.dim = dim
         self.n_cells = k

@@ -50,6 +50,7 @@ symmetrized_current are the independent dense-operator references.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -97,10 +98,21 @@ def _subset_weights(n_beables: int) -> list:
     ]
 
 
-def _ordering_weights(inside: np.ndarray, symmetrization: Symmetrization) -> list:
-    """Weight W_ell[a, b] of joint-basis pair (a, b) in the current J_ell
-    sandwiched by the other beables' cell projectors; ``inside[m, a]`` says
-    whether basis vector a lies in beable m's cell.
+@functools.cache
+def _ordering_table(n_beables: int) -> np.ndarray:
+    """r! s! / (r + s + 1)! for r, s = 0..L-1, as _subset_weights gives it;
+    read-only, built once per L."""
+    table = np.array([[_subset_weights(r + s + 1)[r] for s in range(n_beables)]
+                      for r in range(n_beables)])
+    table.setflags(write=False)
+    return table
+
+
+def _ordering_weights(inside: np.ndarray, symmetrization: Symmetrization) -> np.ndarray:
+    """Weights W (L, dim, dim): W[ell, a, b] is the weight of joint-basis
+    pair (a, b) in the current J_ell sandwiched by the other beables' cell
+    projectors; ``inside[m, a]`` says whether basis vector a lies in beable
+    m's cell.
 
     Ordered: the projectors m < ell act on a, those m > ell on b. Symmetric
     average: W = 0 if another cell holds neither a nor b; cells holding both
@@ -111,18 +123,14 @@ def _ordering_weights(inside: np.ndarray, symmetrization: Symmetrization) -> lis
     """
     n_b = inside.shape[0]
     if symmetrization is Symmetrization.ORDERED_REAL_PART:
-        return [np.outer(inside[:ell].all(axis=0), inside[ell + 1:].all(axis=0)).astype(float)
-                for ell in range(n_b)]
-    table = np.array([[_subset_weights(r + s + 1)[r] for s in range(n_b)] for r in range(n_b)])
+        return np.array([np.outer(inside[:ell].all(axis=0), inside[ell + 1:].all(axis=0))
+                         for ell in range(n_b)], dtype=float)
+    table = _ordering_table(n_b)
     ins = inside.astype(np.intp)
     only_a = ins[:, :, None] * (1 - ins)[:, None, :]
     neither = (1 - ins)[:, :, None] * (1 - ins)[:, None, :]
-    r_all, n_all = only_a.sum(axis=0), neither.sum(axis=0)
-    out = []
-    for ell in range(n_b):
-        r = r_all - only_a[ell]
-        out.append(np.where(n_all == neither[ell], table[r, r.T], 0.0))
-    return out
+    r = only_a.sum(axis=0) - only_a
+    return np.where(neither.sum(axis=0) == neither, table[r, r.transpose(0, 2, 1)], 0.0)
 
 
 def _resolve_cells(beable_set: BeableSet, cells) -> tuple:
@@ -913,7 +921,11 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
     stage), drops the rows at a node and runs the six stages as array
     arithmetic.
     A first stage that is not carried over from the last step is one
-    stacked VelocityField.velocities call per tuple. A table depends only
+    stacked VelocityField.velocities call per tuple. The per-row rules
+    (_escapes, _retry_step with its Hermite bisection, and _cross for rule
+    1's in-place crossings and rule 3's snaps) take each row they handle as
+    lists of Python floats, as _integrate_on_grid holds its rows, and give
+    the bits they give on numpy rows. A table depends only
     on its tuple, panel and the span, and every other operation is row by
     row (elementwise, a per-row product, or the GEMM inside _forms, whose
     rows are bit-identical in any block), so a row's result does not depend
@@ -948,10 +960,11 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
         aborts[row] = (node.time, node.cells)
         running[row] = False
 
-    # rows go to _escapes and _cross as lists: they loop over components,
-    # and numpy scalars make that loop several times slower
-    def cross(row, crossings, when):
-        y[row], cells[row] = _cross(y[row], cells[row].tolist(), crossings, n_cells, when)
+    # the per-row rules loop over components and bisect in Python, so each
+    # loop over rows converts its rows to lists once: the same arithmetic on
+    # numpy scalars gives the same bits at about three times the cost
+    def cross(row, y_row, cells_row, crossings, when):
+        y[row], cells[row] = _cross(y_row, cells_row, crossings, n_cells, when)
         code[row] = cells[row] @ radix
         fresh[row] = False
 
@@ -1025,8 +1038,13 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
         aim, now, boundary = _aim_rows(h_try, y[act], f[act], cells[act], n_cells,
                                        1e-14 * np.maximum(1.0, np.abs(ta)))
         now &= go[:, None]
-        for i in np.flatnonzero(now.any(axis=1)).tolist():
-            cross(int(act[i]), [(ell, boundary[i, ell]) for ell in np.flatnonzero(now[i])], ta[i])
+        sel = np.flatnonzero(now.any(axis=1))
+        for row, y_row, cells_row, marks, ends, when in zip(
+                act[sel].tolist(), y[act[sel]].tolist(), cells[act[sel]].tolist(),
+                now[sel].tolist(), boundary[sel].tolist(), ta[sel].tolist()):
+            cross(row, y_row, cells_row,
+                  [(ell, end) for ell, (mark, end) in enumerate(zip(marks, ends)) if mark],
+                  when)
         hit = aim < np.abs(h_try)
         h_try = np.where(hit, sgn * aim, h_try)
         clamped &= ~hit
@@ -1081,9 +1099,11 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
 
         accepted = ~rejected
         excess = np.maximum(y_new - (frozen + 0.5), (frozen - 0.5) - y_new).max(axis=1)
-        for pos in np.flatnonzero(accepted & (excess > CROSSING_TOL)).tolist():
-            retry[act[pos]] = _retry_step(ya[pos], y_new[pos], k[0][pos], k[6][pos], h_try[pos],
-                                          _escapes(y_new[pos], cells[act[pos]].tolist()))
+        sel = np.flatnonzero(accepted & (excess > CROSSING_TOL))
+        for row, y0, y1, f0, f1, h_row, cells_row in zip(
+                act[sel].tolist(), ya[sel].tolist(), y_new[sel].tolist(), k[0][sel].tolist(),
+                k[6][sel].tolist(), h_try[sel].tolist(), frozen[sel].tolist()):
+            retry[row] = _retry_step(y0, y1, f0, f1, h_row, _escapes(y1, cells_row))
         moved = accepted & (excess <= CROSSING_TOL)
         rows = act[moved]
         t[rows] = np.where(clamped[moved], target[moved], ta[moved] + h_try[moved])
@@ -1091,9 +1111,10 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
         # the last stage is f(t + 1.0 * h, y_new) in the old cells, bit for bit
         f[rows] = k[6][moved]
         fresh[rows] = ~clamped[moved]
-        for pos in np.flatnonzero(moved & (excess > 0.0)).tolist():
-            row = int(act[pos])
-            cross(row, _escapes(y_new[pos], cells[row].tolist()), t[row])
+        sel = np.flatnonzero(moved & (excess > 0.0))
+        for row, y1, cells_row, when in zip(act[sel].tolist(), y_new[sel].tolist(),
+                                            frozen[sel].tolist(), t[act[sel]].tolist()):
+            cross(row, y1, cells_row, _escapes(y1, cells_row), when)
 
         rows = act[moved & clamped]
         rec[rows, rec_i[rows]] = y[rows]

@@ -86,11 +86,11 @@ def sample_initial(state: QuantumState, beable_set: BeableSet,
 
 def _cell_expectations(state: QuantumState, b: BeableOperator) -> np.ndarray:
     """Re <t|P(n)|t> for every cell n of one beable, from one product of the
-    stacked projectors with the state and one with its conjugate."""
+    beable's stacked projectors with the state and one with its conjugate."""
     if state.dim != b.dim:
         raise InputError(f"dimension mismatch: state {state.dim}, beable {b.dim}")
     psi = state.amplitudes
-    images = (np.concatenate([p.entries for p in b.projectors]) @ psi).reshape(b.n_cells, -1)
+    images = (b.stacked_projectors @ psi).reshape(b.n_cells, -1)
     return (images @ psi.conj()).real
 
 
@@ -319,8 +319,9 @@ def _openblas_threads():
 def _single_threaded_blas():
     """Run the body with OpenBLAS at one thread, then restore the count.
 
-    An ensemble's parallelism is its worker processes. Pinned here, before
-    the pool forks, every worker inherits one thread; per-tuple GEMMs that
+    An ensemble's parallelism is its worker processes, this one included.
+    Pinned here, before the pool forks, every worker inherits one thread,
+    and this process integrates its own block at one thread; GEMMs that
     each started their own BLAS threads on top of the workers would
     oversubscribe the cores. So the pool always forks, whatever the
     platform's default start method (forkserver from Python 3.14 on
@@ -341,9 +342,8 @@ def _single_threaded_blas():
 
 
 # The ensemble's fixed inputs, (field, state0, times, tuples, cum),
-# set once in each pool worker so that submitted blocks carry only their
-# seed, index range and tolerances; the worker's tuple cache persists
-# across its blocks.
+# set once in each pool worker so that a submitted block carries only its
+# seed, index range and tolerances.
 _worker_inputs = None
 
 
@@ -364,9 +364,14 @@ def ensemble_equivariance(field: VelocityField, state0: QuantumState, n: int,
     exact quantum distribution at each probe time.
 
     Node-aborted trajectories are excluded from the histograms but counted in
-    the report; they are never silently resampled. The integration runs with
-    OpenBLAS pinned to one thread (see _single_threaded_blas), and the
-    process's BLAS thread count is restored afterwards, also on an error.
+    the report; they are never silently resampled. The trajectories are split
+    into one block per worker. At workers >= 2 a pool forks one worker for
+    each block after the first, and this process integrates the first block
+    itself while they run; the counts do not depend on the split. The
+    integration runs with OpenBLAS pinned to one thread (see
+    _single_threaded_blas), and the process's BLAS thread count is restored
+    afterwards, also on an error, which propagates after the pool has shut
+    down.
     """
     if n < 100:
         raise InputError("ensemble_equivariance needs n >= 100")
@@ -386,21 +391,20 @@ def ensemble_equivariance(field: VelocityField, state0: QuantumState, n: int,
         _, quantum[k] = quantum_distribution(state_t, field.beable_set)
 
     inputs = (field, state0, times, tuples, cum)
-    counts = np.zeros((times.size, len(tuples)), dtype=np.int64)
-    aborted = 0
     with _single_threaded_blas():
         if n_workers <= 1:
             counts, aborted = _run_chunk(*inputs, seed, range(n), rtol, atol)
         else:
             chunk = math.ceil(n / n_workers)
             blocks = [range(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-            with ProcessPoolExecutor(max_workers=len(blocks),
+            with ProcessPoolExecutor(max_workers=len(blocks) - 1,
                                      mp_context=multiprocessing.get_context("fork"),
                                      initializer=_init_worker, initargs=inputs) as pool:
                 futures = [
                     pool.submit(_run_worker_chunk, seed, blk, rtol, atol)
-                    for blk in blocks
+                    for blk in blocks[1:]
                 ]
+                counts, aborted = _run_chunk(*inputs, seed, blocks[0], rtol, atol)
                 for fut in futures:
                     c, a = fut.result()
                     counts += c

@@ -70,6 +70,15 @@ class TestFromHermitian:
                             for e, p in zip(b.eigenvalues, b.projectors))
                 assert np.max(np.abs(recon - b.matrix.entries)) <= 1e-9
 
+    def test_stacked_projectors_are_built_once_read_only_and_shared(self, rng):
+        b = bs.from_hermitian(random_hermitian(rng, 5))
+        np.testing.assert_array_equal(
+            b.stacked_projectors, np.concatenate([p.entries for p in b.projectors]))
+        with pytest.raises(ValueError, match="read-only"):
+            b.stacked_projectors[0, 0] = 1.0
+        for p in b.projectors:
+            assert p.entries.base is b.stacked_projectors
+
 
 class TestCommutingSet:
     def test_disjoint_tensor_factors(self):

@@ -13,11 +13,13 @@ from beable_sim.dynamics import (
     _aim,
     _aim_rows,
     _carries,
+    _cross,
     _dp_stages,
     _escapes,
     _float_step,
     _forms_at,
     _forms_stage,
+    _hermite_first_contact,
     _integrate_block,
     _integrate_on_grid,
     _ordering_weights,
@@ -411,7 +413,7 @@ class TestStackedEvaluation:
         built = dyn._ordering_weights
 
         def skewed(inside, symmetrization):
-            weights = built(inside, symmetrization)
+            weights = built(inside, symmetrization).astype(complex)
             weights[1] = weights[1] * (1.0 + 1e-3j)
             return weights
         monkeypatch.setattr(dyn, "_ordering_weights", skewed)
@@ -519,6 +521,95 @@ class TestStackedEvaluation:
                 checked += 1
             # every tuple that holds a joint basis vector
             assert checked == len(set(map(tuple, bset.labels.T.tolist()))), name
+
+
+def assert_same_bits(got, want, msg=""):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape), msg
+    assert got.tobytes() == want.tobytes(), msg
+
+
+def looped_ordering_weights(inside, symmetrization):
+    """The per-component loop that _ordering_weights replaced, kept as its
+    oracle: one (dim, dim) weight matrix per beable, in a list, from a
+    table rebuilt from factorials on every call."""
+    n_b = inside.shape[0]
+    if symmetrization is Symmetrization.ORDERED_REAL_PART:
+        return [np.outer(inside[:ell].all(axis=0), inside[ell + 1:].all(axis=0)).astype(float)
+                for ell in range(n_b)]
+    table = np.array([[_subset_weights(r + s + 1)[r] for s in range(n_b)] for r in range(n_b)])
+    ins = inside.astype(np.intp)
+    only_a = ins[:, :, None] * (1 - ins)[:, None, :]
+    neither = (1 - ins)[:, :, None] * (1 - ins)[:, None, :]
+    r_all, n_all = only_a.sum(axis=0), neither.sum(axis=0)
+    out = []
+    for ell in range(n_b):
+        r = r_all - only_a[ell]
+        out.append(np.where(n_all == neither[ell], table[r, r.T], 0.0))
+    return out
+
+
+def looped_tuple_stack(field, cells):
+    """The loop that VelocityField._tuple_stack replaced, kept as its oracle:
+    each X_ell from its own 2-D products, with looped_ordering_weights.
+    Returns (gemm, expand) as _tuple_stack does."""
+    rot = field._rotation
+    n_b = field.n_beables
+    column = np.asarray(cells)[:, None]
+    inside = field.beable_set.labels == column
+    below = (field.beable_set.labels < column).astype(float)
+    occupied = rot[:, inside.all(axis=0)]
+    tops = [k - 1 for k in field.beable_set.cell_counts]
+    n_interior = sum(0 < n < top for n, top in zip(cells, tops))
+    dim = rot.shape[0]
+    gemm = np.empty((dim, 1 + n_b + n_interior, dim), dtype=complex)
+    stack = gemm.transpose(1, 2, 0)
+    stack[0] = occupied @ occupied.conj().T
+    expand = np.zeros((stack.shape[0], 2 * n_b + 1), dtype=complex)
+    expand[:1 + n_b, :1 + n_b] = np.eye(1 + n_b)
+    d_in = inside.astype(float)
+    slot = 1 + n_b
+    for ell, w in enumerate(looped_ordering_weights(inside, field.symmetrization)):
+        weighted = 1j * w * field._h_joint
+        x_mat = weighted * (d_in[ell][:, None] - d_in[ell][None, :])
+        stack[1 + ell] = rot @ x_mat @ rot.conj().T
+        if 0 < cells[ell] < tops[ell]:
+            y_mat = weighted * (below[ell][:, None] - below[ell][None, :])
+            stack[slot] = rot @ y_mat @ rot.conj().T
+            expand[slot, 1 + n_b + ell] = 1.0
+            slot += 1
+        elif cells[ell] > 0:
+            expand[1 + ell, 1 + n_b + ell] = -1.0
+    return gemm.reshape(dim, -1), expand
+
+
+class TestBatchedTupleBuild:
+    """_ordering_weights gives all L weight matrices from one batched pass,
+    and _tuple_stack takes them from that array; the loops they replaced
+    are their oracles, bit for bit."""
+
+    @pytest.mark.parametrize("n_b", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("symmetrization", list(Symmetrization))
+    def test_weights_match_the_loop_on_random_masks(self, rng, n_b, symmetrization):
+        for _ in range(40):
+            dim = int(rng.integers(1, 17))
+            inside = rng.random((n_b, dim)) < rng.uniform(0.2, 0.9)
+            want = np.stack(looped_ordering_weights(inside, symmetrization))
+            assert_same_bits(_ordering_weights(inside, symmetrization), want,
+                             f"{inside.astype(int).tolist()}")
+
+    @pytest.mark.parametrize("symmetrization", list(Symmetrization))
+    def test_stacks_match_the_loop_on_every_tuple(self, rng, symmetrization):
+        models = [(name, build_model(parse_config({"preset": name})))
+                  for name in bs.PRESET_NAMES]
+        models = [(name, m.beable_set, m.propagator) for name, m in models]
+        models.append(("sigma-z-5", *sigma_z_chain(rng, 5)[:2]))
+        for name, bset, prop in models:
+            field = bs.VelocityField(bset, prop, symmetrization)
+            for cells in bs.all_cell_tuples(bset):
+                gemm, expand = field._tuple_stack(cells)
+                want_gemm, want_expand = looped_tuple_stack(field, cells)
+                assert_same_bits(gemm, want_gemm, f"{name} {cells}")
+                assert_same_bits(expand, want_expand, f"{name} {cells}")
 
 
 def row_independence_models(rng):
@@ -847,6 +938,78 @@ class TestCellCrossings:
         # an escape of at most CROSSING_TOL is accepted and snapped instead
         y1 = np.array([0.5 + 0.5 * CROSSING_TOL])
         assert _retry_step(y0, y1, v, v, 0.5, _escapes(y1, (0,))) is None
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from([1, -1]),
+           st.floats(-6.0, 0.0))
+    def test_rules_give_the_same_bits_on_numpy_rows_and_float_lists(self, seed, n_b,
+                                                                     direction, log_h):
+        # the block hands its per-row rules lists of Python floats where it
+        # once handed numpy rows; escapes up (direction 1) and down (-1),
+        # through interior boundaries and domain ends, steps of 1e-6 to 1
+        rng = np.random.default_rng(seed)
+        n_cells = tuple(rng.integers(1, 5, size=n_b).tolist())
+        cells = tuple(int(rng.integers(k)) for k in n_cells)
+        at = np.array(cells, dtype=float)
+        move = rng.integers(-1, 2, size=n_b)
+        move[0] = direction
+        excess = 10.0 ** rng.uniform(-13.0, -0.3, size=n_b)
+        y1 = np.where(move > 0, at + 0.5 + excess,
+                      np.where(move < 0, at - 0.5 - excess, at + rng.uniform(-0.5, 0.5, n_b)))
+        y0 = at + rng.uniform(-0.5, 0.5, size=n_b)
+        f0, f1 = rng.normal(size=(2, n_b)) * 10.0 ** rng.uniform(-2.0, 3.0)
+        h = 10.0 ** log_h
+        rows = np.stack([y0, y1, f0, f1])
+        lists = rows.tolist()
+
+        def bits(value):
+            if isinstance(value, (tuple, list, np.ndarray)):
+                return [bits(v) for v in value]
+            return value if value is None or isinstance(value, int) else float(value).hex()
+
+        def crossed(y, esc):
+            try:
+                return bits(_cross(y, cells, esc, n_cells, 0.25))
+            except NumericError as exc:
+                return str(exc)
+
+        esc_np, esc = _escapes(rows[1], cells), _escapes(lists[1], cells)
+        assert esc and bits(esc_np) == bits(esc)
+        assert all(type(x) is float for e in esc for x in e[1:])
+        assert bits(_hermite_first_contact(*rows, np.float64(h), esc_np)) == \
+            bits(_hermite_first_contact(*lists, h, esc))
+        assert bits([_retry_step(*rows, np.float64(h), esc_np)]) == \
+            bits([_retry_step(*lists, h, esc)])
+        assert crossed(rows[1], esc_np) == crossed(lists[1], esc)
+
+    def test_the_block_hands_its_rules_python_floats(self, monkeypatch):
+        import beable_sim.dynamics as dyn
+
+        calls = {"_retry_step": 0, "_cross": 0}
+
+        def spy(name):
+            rule = getattr(dyn, name)
+
+            def checked(*args):
+                calls[name] += 1
+                if name == "_retry_step":        # (y, y_new, f0, f1, h, escapes)
+                    rows, scalars, crossings = args[:4], args[4:5], args[5]
+                else:                           # (y, cells, crossings, n_cells, t)
+                    rows, scalars, crossings = args[:1], args[4:], args[2]
+                for row in rows:
+                    assert type(row) is list and all(type(x) is float for x in row), (name, row)
+                assert all(type(x) is float for x in scalars), (name, scalars)
+                assert all(type(x) is float for e in crossings for x in e[1:]), (name, crossings)
+                return rule(*args)
+            monkeypatch.setattr(dyn, name, checked)
+
+        for name in calls:
+            spy(name)
+        cfg = parse_config({"preset": "two-qubit"})
+        m = build_model(cfg)
+        starts = seeded_starts(m.field, m.state0, 100)
+        _integrate_block(m.field, m.state0, starts, np.array(cfg.run.times), **BLOCK_TOL)
+        assert calls["_retry_step"] > 0 and calls["_cross"] > 0, calls
 
     def test_rule_1_has_one_arithmetic_on_both_paths(self, rng):
         n_cells = (2, 3, 1, 4)

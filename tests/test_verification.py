@@ -1,5 +1,6 @@
+import multiprocessing
 import os
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -324,11 +325,12 @@ class TestEnsembleEquivariance:
         assert np.array_equal(rep.empirical, recount)
         assert recount.sum(axis=1).tolist() == [rep.n_completed] * rep.times.size
 
-    def test_pool_has_one_worker_per_block(self, rabi, monkeypatch):
-        # 100 trajectories at 11 workers make 10 blocks of 10; an in-process
-        # stand-in for the pool records its size and checks that the pool
-        # would fork its workers
-        sizes = []
+    def test_caller_runs_one_block_and_the_pool_the_rest(self, rabi, monkeypatch):
+        # 100 trajectories at 11 workers make 10 blocks of 10: this process
+        # integrates the first, and the pool forks one worker for each of
+        # the other 9. An in-process stand-in for the pool records its size
+        # and the blocks it gets, and checks that the pool would fork
+        sizes, submitted = [], []
 
         class InlinePool:
             def __init__(self, max_workers, mp_context, initializer, initargs):
@@ -343,6 +345,7 @@ class TestEnsembleEquivariance:
                 return False
 
             def submit(self, fn, *args):
+                submitted.append(args[1])
                 fut = Future()
                 fut.set_result(fn(*args))
                 return fut
@@ -353,7 +356,8 @@ class TestEnsembleEquivariance:
         # the stand-in runs the pool initializer in this process
         monkeypatch.setattr(verification, "_worker_inputs", None)
         pooled = bs.ensemble_equivariance(rabi.field, rabi.state0, 100, workers=11, **kwargs)
-        assert sizes == [10]
+        assert sizes == [9]
+        assert submitted == [range(lo, lo + 10) for lo in range(10, 100, 10)]
         assert np.array_equal(serial.empirical, pooled.empirical)
 
     def test_histogram_sums_to_completed(self, rabi):
@@ -439,6 +443,29 @@ class TestSingleThreadedBlas:
         build_with_defect(monkeypatch, m.field, 1, 1e-3j * np.eye(m.beable_set.dim))
         with pytest.raises(NumericError, match="current component 0 "):
             bs.ensemble_equivariance(m.field, m.state0, 100, [0.5], seed=1, workers=1)
+        assert blas_threads() == 2
+
+    def test_restored_when_the_callers_block_raises(self, monkeypatch):
+        # at workers = 2 this process integrates the first block; its error
+        # propagates as raised here (a worker's would come with the remote
+        # traceback as its cause), after the pool has shut down
+        pools = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        m = build_model(parse_config({"preset": "two-qubit"}))
+        build_with_defect(monkeypatch, m.field, 1, 1e-3j * np.eye(m.beable_set.dim))
+        monkeypatch.setattr(verification, "ProcessPoolExecutor", RecordingPool)
+        with pytest.raises(NumericError, match="current component 0 ") as err:
+            bs.ensemble_equivariance(m.field, m.state0, 100, [0.5], seed=1, workers=2)
+        assert err.value.__cause__ is None
+        (pool,) = pools
+        with pytest.raises(RuntimeError, match="after shutdown"):
+            pool.submit(int)
+        assert multiprocessing.active_children() == []
         assert blas_threads() == 2
 
 
