@@ -5,6 +5,9 @@ A set of commuting Hermitian operators is promoted to always-valued
 its eigenvalues. Trajectories follow the velocity field J/P built from
 projector currents, and ensembles of them reproduce the quantum cell
 distribution at all times when sampled from it at one time.
+
+The field (dynamics) evaluates P and J in the beables' joint eigenbasis;
+verification holds the oracles, the dense-operator references among them.
 """
 
 __version__ = "0.1.0"
@@ -14,10 +17,8 @@ from .beables import (
     BeableSet,
     LambdaConfig,
     cell_index,
-    current_operator,
     eigenvalue_at,
     from_hermitian,
-    lower_projector,
     validate_commuting_set,
 )
 from .dynamics import (
@@ -28,9 +29,6 @@ from .dynamics import (
     all_cell_tuples,
     integrate_trajectory,
     quantum_distribution,
-    quantum_probability,
-    symmetrized_current,
-    velocity,
 )
 from .errors import BeableSimError, ConfigError, InputError, NodeError, NumericError
 from .linalg import (
@@ -50,10 +48,14 @@ from .verification import (
     average_consistency,
     cell_weights,
     continuity_residual,
+    current_operator,
     ensemble_equivariance,
     level_expectation,
+    lower_projector,
+    quantum_probability,
     sample_initial,
     single_beable_levelset,
+    symmetrized_current,
     two_state_solution,
 )
 
@@ -64,7 +66,7 @@ __all__ = [
     "validate_commuting_set",
     "Symmetrization", "Trajectory", "TrajectoryStatus", "VelocityField",
     "all_cell_tuples", "integrate_trajectory", "quantum_distribution",
-    "quantum_probability", "symmetrized_current", "velocity",
+    "quantum_probability", "symmetrized_current",
     "BeableSimError", "ConfigError", "InputError", "NodeError", "NumericError",
     "Operator", "Propagator", "QuantumState", "commutator", "diagonalize",
     "evolve", "expectation", "identity",

@@ -1,4 +1,4 @@
-"""Beable operators: spectral cells, cell projectors, and current operators.
+"""Beable operators: spectral cells, cell projectors and the joint eigenbasis.
 
 A beable is a Hermitian operator promoted to "always has a value" status.
 Each distinct eigenvalue (up to a degeneracy tolerance) is assigned one
@@ -12,6 +12,9 @@ Conventions fixed here:
   * the nearest-integer map rounds exact half-integers up;
   * lambda = K - 1/2 (the closed top of the domain) belongs to cell K-1 so
     that the boundary values L(K-1/2) = identity and J(K-1/2) = 0 hold.
+
+L(lambda) and J(lambda) as dense matrices are references, in verification;
+the field builds P and J from the joint eigenbasis here.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import InputError, NumericError
-from .linalg import Operator, Propagator, max_norm
+from .linalg import Operator, max_norm
 
 DEGENERACY_TOL = 1e-9
 COMPLETENESS_TOL = 1e-10
@@ -305,31 +308,3 @@ def cell_index(b: BeableOperator, lam: float) -> int:
 def eigenvalue_at(b: BeableOperator, lam: float) -> float:
     """The beable's physical value at lambda (piecewise constant)."""
     return float(b.eigenvalues[cell_index(b, lam)])
-
-
-def lower_projector(b: BeableOperator, lam: float) -> Operator:
-    """L(lambda): weighted projector onto all states below lambda.
-
-    L(lambda) = (lambda - n + 1/2) P(n) + sum_{j<n} P(j) with n the cell of
-    lambda; continuous and piecewise linear, L(-1/2) = 0, L(K-1/2) = identity.
-    The complement G(lambda) = identity - L(lambda) is never stored.
-    """
-    n = cell_index(b, lam)
-    mat = sum((p.entries for p in b.projectors[:n]), (lam - n + 0.5) * b.projectors[n].entries)
-    return Operator(mat, hermitian=True)
-
-
-def current_operator(b: BeableOperator, lam: float, prop: Propagator) -> Operator:
-    """J(lambda) = -(1/i)[L(lambda), H]; Hermitian, affine in lambda per cell.
-
-    Vanishes at both ends of the lambda domain, where L is 0 or identity.
-    """
-    if b.dim != prop.dim:
-        raise InputError(f"dimension mismatch: beable {b.dim}, propagator {prop.dim}")
-    l_mat = lower_projector(b, lam).entries
-    h = prop.hamiltonian.entries
-    j = 1j * (l_mat @ h - h @ l_mat)
-    # symmetrize away matmul roundoff so the hermitian flag is exact even
-    # when the commutator is numerically zero
-    j = (j + j.conj().T) / 2
-    return Operator(j, hermitian=True)

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import BuiltModel
-from .dynamics import _integrate_on_grid, TrajectoryStatus, quantum_distribution
+from .dynamics import (DEFAULT_ATOL, DEFAULT_RTOL, TrajectoryStatus, _integrate_on_grid,
+                       quantum_distribution)
 from .errors import NumericError
 from .linalg import evolve, expectation
 from .verification import (
@@ -125,7 +126,10 @@ def _check_trajectories(model: BuiltModel, strict: bool, n_traj: int = 5) -> lis
     conservation on single-beable ones, from one pass over n_traj seeded
     starts. Each start runs forward, recording 41 times when L = 1 and only
     t_final otherwise, then back to the start from its last sample. A node
-    abort in either direction fails every check of the pass."""
+    abort in either direction fails every check of the pass.
+
+    The thresholds are fixed, so the pass integrates at DEFAULT_RTOL and
+    DEFAULT_ATOL whatever the model sets."""
     cfg = model.config
     t_final = cfg.run.t_final
     single = len(model.beable_set) == 1
@@ -140,13 +144,11 @@ def _check_trajectories(model: BuiltModel, strict: bool, n_traj: int = 5) -> lis
     worst = dict.fromkeys(names, 0.0)
     for i in range(n_traj):
         lam0 = sample_initial(model.state0, model.beable_set, (cfg.run.seed, 201, i)).values
-        fwd = _integrate_on_grid(model.field, model.state0, lam0, times,
-                                 cfg.dynamics.rtol, cfg.dynamics.atol)
+        fwd = _integrate_on_grid(model.field, model.state0, lam0, times, DEFAULT_RTOL, DEFAULT_ATOL)
         if fwd.status is not TrajectoryStatus.COMPLETED:
             return _aborted(names, strict, f"forward trajectory {i} aborted at a node")
         back = _integrate_on_grid(model.field, states[-1], fwd.final_lambdas,
-                                  np.array([model.state0.time]),
-                                  cfg.dynamics.rtol, cfg.dynamics.atol)
+                                  np.array([model.state0.time]), DEFAULT_RTOL, DEFAULT_ATOL)
         if back.status is not TrajectoryStatus.COMPLETED:
             return _aborted(names, strict, f"backward trajectory {i} aborted at a node")
         worst["reversibility"] = max(worst["reversibility"],
@@ -165,7 +167,8 @@ def _check_trajectories(model: BuiltModel, strict: bool, n_traj: int = 5) -> lis
         "levelset_agreement": f"{n_traj} trajectories vs the level-set solution at 41 times",
         "level_conservation": "drift of the conserved level value along trajectories",
     }
-    return [_result(name, worst[name], strict, details[name]) for name in names]
+    tol = f"integrated at rtol {DEFAULT_RTOL:g}, atol {DEFAULT_ATOL:g}"
+    return [_result(name, worst[name], strict, f"{details[name]}; {tol}") for name in names]
 
 
 def _check_average_consistency(model: BuiltModel, strict: bool,

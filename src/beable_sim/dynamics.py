@@ -1,4 +1,4 @@
-"""Quantum probability, symmetrized currents, and lambda-trajectory integration.
+"""The guidance field v = J / P and lambda-trajectory integration.
 
 The velocity field is v_ell = J_ell / P where P is the expectation of the
 product of cell projectors and J_ell is the (ordering-averaged) expectation
@@ -37,15 +37,16 @@ way the five stage rows meet the node floor once per step, with the outcome
 of one velocity call per stage (_stage_nodes), and each stage then only
 combines its row with its own lambda: L numbers, which the one-trajectory
 step combines in Python floats (_float_step) with the block's per-row
-arithmetic. The pair is FSAL: a step's last stage is f(t + h, y_new), so it
-is the next step's first stage unless the step crossed a boundary. One
-trajectory also carries it across a record time that t + h hits exactly;
-the block takes a fresh first stage after every record.
+arithmetic. The pair is FSAL: a step's last stage is f(t + h, y_new) in
+the cells the step held, and both integrators start the next step with it
+unless the step crossed a boundary, also after a step clamped to a record
+time.
 
 P, the cell distribution and J are built in the beables' joint eigenbasis,
 where cell projectors are 0/1 masks, and evaluated in the Hamiltonian
-eigenbasis, where states advance by pure phases. quantum_probability and
-symmetrized_current are the independent dense-operator references.
+eigenbasis, where states advance by pure phases. The independent
+dense-operator references of P and J live in verification; nothing here
+calls them.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from enum import Enum
 
 import numpy as np
 
-from .beables import BeableSet, LambdaConfig, cell_index, current_operator
+from .beables import BeableSet, LambdaConfig, cell_index
 from .errors import InputError, NodeError, NumericError
 from .linalg import Propagator, QuantumState
 from .tables import FormTables
@@ -84,26 +85,11 @@ class TrajectoryStatus(str, Enum):
     NODE_ABORTED = "node_aborted"
 
 
-def _subset_weights(n_beables: int) -> list:
-    """Weight of placing k of the other L-1 projectors left of the current.
-
-    Averaging over all L! orderings of the L operators in the braces gives
-    weight k! (L-1-k)! / L! to each left-subset of size k; for L = 3 these
-    are 2/6, 1/6, 1/6, 2/6.
-    """
-    total = math.factorial(n_beables)
-    return [
-        math.factorial(k) * math.factorial(n_beables - 1 - k) / total
-        for k in range(n_beables)
-    ]
-
-
 @functools.cache
 def _ordering_table(n_beables: int) -> np.ndarray:
-    """r! s! / (r + s + 1)! for r, s = 0..L-1, as _subset_weights gives it;
-    read-only, built once per L."""
-    table = np.array([[_subset_weights(r + s + 1)[r] for s in range(n_beables)]
-                      for r in range(n_beables)])
+    """r! s! / (r + s + 1)! for r, s = 0..L-1; read-only, built once per L."""
+    table = np.array([[math.factorial(r) * math.factorial(s) / math.factorial(r + s + 1)
+                       for s in range(n_beables)] for r in range(n_beables)])
     table.setflags(write=False)
     return table
 
@@ -133,21 +119,6 @@ def _ordering_weights(inside: np.ndarray, symmetrization: Symmetrization) -> np.
     return np.where(neither.sum(axis=0) == neither, table[r, r.transpose(0, 2, 1)], 0.0)
 
 
-def _resolve_cells(beable_set: BeableSet, cells) -> tuple:
-    if len(cells) != len(beable_set):
-        raise InputError("one cell index per beable is required")
-    out = []
-    for ell, b in enumerate(beable_set):
-        n = int(cells[ell])
-        if n != cells[ell] or not (0 <= n < b.n_cells):
-            raise InputError(
-                f"cell index {cells[ell]} out of range 0..{b.n_cells - 1} "
-                f"for beable '{b.label}'"
-            )
-        out.append(n)
-    return tuple(out)
-
-
 def _lambda_values(beable_set: BeableSet, lambdas, strict: bool = False) -> np.ndarray:
     """Coerce a lambda vector. strict=True enforces the half-open trajectory
     domain; otherwise the closed top boundary stays evaluable (boundary
@@ -163,26 +134,6 @@ def _lambda_values(beable_set: BeableSet, lambdas, strict: bool = False) -> np.n
             f"lambda vector must have length {len(beable_set)}, got shape {v.shape}"
         )
     return v
-
-
-def quantum_probability(state: QuantumState, beable_set: BeableSet, cells) -> float:
-    """P(cells, t) = <t| prod_ell P_ell(n_ell) |t>.
-
-    Real up to roundoff because the projectors commute; lies in
-    [-1e-10, 1 + 1e-10] and sums to 1 over all cell tuples.
-    """
-    if state.dim != beable_set.dim:
-        raise InputError(f"dimension mismatch: state {state.dim}, set {beable_set.dim}")
-    cells = _resolve_cells(beable_set, cells)
-    vec = state.amplitudes
-    for ell, b in enumerate(beable_set):
-        vec = b.projectors[cells[ell]].entries @ vec
-    p = complex(np.vdot(state.amplitudes, vec))
-    if abs(p.imag) > 1e-10:
-        raise NumericError(f"probability has imaginary part {p.imag:.3e}")
-    if not (-1e-10 <= p.real <= 1.0 + 1e-10):
-        raise NumericError(f"probability {p.real:.12g} outside [0, 1]")
-    return p.real
 
 
 def all_cell_tuples(beable_set: BeableSet) -> list:
@@ -203,62 +154,6 @@ def quantum_distribution(state: QuantumState, beable_set: BeableSet):
     if abs(total - 1.0) > 1e-8:
         raise NumericError(f"cell-tuple probabilities sum to {total:.12g}, not 1")
     return tuples, probs
-
-
-def symmetrized_current(state: QuantumState, beable_set: BeableSet, ell: int,
-                        lambdas, prop: Propagator,
-                        symmetrization: Symmetrization = Symmetrization.SYMMETRIC_AVERAGE,
-                        ) -> float:
-    """J_ell(Lambda, t): ordering-averaged current expectation (reference path).
-
-    For the symmetric average, each subset A of the other beables' projectors
-    contributes weight |A|! (L-1-|A|)! / L! with the subset applied left of
-    the current operator and the complement right. The averaged operator is
-    Hermitian, so the imaginary residue must stay below 1e-9 and is asserted
-    before truncation. The ordered variant takes the real part of the single
-    canonical ordering instead.
-    """
-    lam = _lambda_values(beable_set, lambdas)
-    if state.dim != beable_set.dim:
-        raise InputError(f"dimension mismatch: state {state.dim}, set {beable_set.dim}")
-    ell = int(ell)
-    n_b = len(beable_set)
-    if not 0 <= ell < n_b:
-        raise InputError(f"beable index {ell} out of range")
-    j_mat = current_operator(beable_set[ell], lam[ell], prop).entries
-    psi = state.amplitudes
-    others = [m for m in range(n_b) if m != ell]
-    proj = {m: beable_set[m].projectors[cell_index(beable_set[m], lam[m])].entries
-            for m in others}
-
-    if symmetrization is Symmetrization.ORDERED_REAL_PART:
-        left = psi.copy()
-        for m in reversed([m for m in others if m < ell]):
-            left = proj[m] @ left
-        right = psi.copy()
-        for m in reversed([m for m in others if m > ell]):
-            right = proj[m] @ right
-        return complex(np.vdot(left, j_mat @ right)).real
-
-    weights = _subset_weights(n_b)
-    value = 0.0 + 0.0j
-    for mask in range(1 << len(others)):
-        left = psi
-        right = psi
-        size = 0
-        for i, m in enumerate(others):
-            if mask >> i & 1:
-                left = proj[m] @ left
-                size += 1
-            else:
-                right = proj[m] @ right
-        value += weights[size] * complex(np.vdot(left, j_mat @ right))
-    if abs(value.imag) > CURRENT_IMAG_TOL:
-        raise NumericError(
-            f"symmetrized current has imaginary part {value.imag:.3e} "
-            f"(must be <= {CURRENT_IMAG_TOL:g})"
-        )
-    return value.real
 
 
 class VelocityField:
@@ -472,18 +367,6 @@ class VelocityField:
             row = int(low[0])
             raise NodeError(cells, p[row], time if np.ndim(time) == 0 else time[row], row=row)
         return self._currents_of(vals, lam, shift) / p[:, None]
-
-
-def velocity(field: VelocityField, state: QuantumState, lambdas) -> np.ndarray:
-    """v_ell = J_ell / P at the cells of the given lambda configuration.
-
-    Raises NodeError (with the offending cell tuple and probability) when
-    the configuration sits at or below the node floor.
-    """
-    lam = _lambda_values(field.beable_set, lambdas)
-    cells = tuple(cell_index(b, lam[ell]) for ell, b in enumerate(field.beable_set))
-    coeff = field.state_coefficients(state)
-    return field.velocities(coeff, lam, cells, state.time)
 
 
 # Dormand-Prince 5(4) tableau; the last stage row doubles as the 5th-order
@@ -787,15 +670,6 @@ def _start(beable_set: BeableSet, t0: float, lam0: np.ndarray, record_times):
     return record_times, rec, rec_cells, rec_i, sgn, cells
 
 
-def _carries(esc: list, t: float, t_end: float) -> bool:
-    """Whether an accepted step's last stage, f(t_end, y_new) in the cells
-    it held, is the next step's first stage bit for bit: the step crossed
-    nothing and it moved t to t_end itself. A step clamped to a record time
-    moves t to that time, which can differ from t + h by roundoff; when it
-    does not, the fresh first stage would be the same GEMM row."""
-    return not esc and t == t_end
-
-
 def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
                        record_times, rtol: float, atol: float) -> Trajectory:
     """Drive d lambda/dt = v through the cells, recording at record_times.
@@ -881,10 +755,9 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
             if retry is not None:
                 continue
 
-            t_end = t + h_try
-            t = target if clamped else t_end
+            t = target if clamped else t + h_try
             y, cells = _cross(y_new, cells, esc, n_cells, t) if esc else (y_new, cells)
-            f_now = k_last if _carries(esc, t, t_end) else None
+            f_now = None if esc else k_last
             if clamped:
                 rec[rec_i], rec_cells[rec_i] = y, cells
                 rec_i += 1
@@ -1108,9 +981,10 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
         rows = act[moved]
         t[rows] = np.where(clamped[moved], target[moved], ta[moved] + h_try[moved])
         y[rows] = y_new[moved]
-        # the last stage is f(t + 1.0 * h, y_new) in the old cells, bit for bit
+        # the last stage is f(t + 1.0 * h, y_new) in the old cells, bit for bit;
+        # cross() clears it for a row that crossed
         f[rows] = k[6][moved]
-        fresh[rows] = ~clamped[moved]
+        fresh[rows] = True
         sel = np.flatnonzero(moved & (excess > 0.0))
         for row, y1, cells_row, when in zip(act[sel].tolist(), y_new[sel].tolist(),
                                             frozen[sel].tolist(), t[act[sel]].tolist()):

@@ -19,6 +19,11 @@ histograms against the evolved quantum distribution by total-variation
 distance. Trajectory workers get independent RNG streams derived from
 (seed, trajectory index), so reports are deterministic for a given seed
 regardless of worker count.
+
+The dense-operator references of P and J live here too: L(lambda), J(lambda)
+and their expectations by the literal formulas, the ordering average as a
+sum over subsets. They are the independent oracles of the field's forms,
+and no integration path calls them.
 """
 
 from __future__ import annotations
@@ -37,16 +42,18 @@ import numpy as np
 
 from .beables import BeableOperator, BeableSet, LambdaConfig, cell_index
 from .dynamics import (
+    CURRENT_IMAG_TOL,
     DEFAULT_ATOL,
     DEFAULT_RTOL,
+    Symmetrization,
     TrajectoryStatus,
     VelocityField,
     _integrate_block,
     quantum_distribution,
     _lambda_values,
 )
-from .errors import InputError
-from .linalg import QuantumState, evolve
+from .errors import InputError, NumericError
+from .linalg import Operator, Propagator, QuantumState, evolve
 
 ENV_THREADS = "BEABLE_SIM_THREADS"
 
@@ -180,6 +187,143 @@ def average_consistency(value: float, n_xi0: int) -> float:
     mids = -1.0 + (np.arange(n_xi0) + 0.5) * (2.0 / n_xi0)
     signs = np.where(value - mids >= 0.0, 1.0, -1.0)
     return float(signs.mean())
+
+
+# ---------------------------------------------------------------------------
+# dense-operator references: P and J from the literal operator formulas, the
+# oracles of the field's joint-basis forms (dynamics.VelocityField)
+
+def _subset_weights(n_beables: int) -> list:
+    """Weight of placing k of the other L-1 projectors left of the current.
+
+    Averaging over all L! orderings of the L operators in the braces gives
+    weight k! (L-1-k)! / L! to each left-subset of size k; for L = 3 these
+    are 2/6, 1/6, 1/6, 2/6.
+    """
+    total = math.factorial(n_beables)
+    return [
+        math.factorial(k) * math.factorial(n_beables - 1 - k) / total
+        for k in range(n_beables)
+    ]
+
+
+def _resolve_cells(beable_set: BeableSet, cells) -> tuple:
+    if len(cells) != len(beable_set):
+        raise InputError("one cell index per beable is required")
+    out = []
+    for ell, b in enumerate(beable_set):
+        n = int(cells[ell])
+        if n != cells[ell] or not (0 <= n < b.n_cells):
+            raise InputError(
+                f"cell index {cells[ell]} out of range 0..{b.n_cells - 1} "
+                f"for beable '{b.label}'"
+            )
+        out.append(n)
+    return tuple(out)
+
+
+def lower_projector(b: BeableOperator, lam: float) -> Operator:
+    """L(lambda): weighted projector onto all states below lambda.
+
+    L(lambda) = (lambda - n + 1/2) P(n) + sum_{j<n} P(j) with n the cell of
+    lambda; continuous and piecewise linear, L(-1/2) = 0, L(K-1/2) = identity.
+    The complement G(lambda) = identity - L(lambda) is never stored.
+    """
+    n = cell_index(b, lam)
+    mat = sum((p.entries for p in b.projectors[:n]), (lam - n + 0.5) * b.projectors[n].entries)
+    return Operator(mat, hermitian=True)
+
+
+def current_operator(b: BeableOperator, lam: float, prop: Propagator) -> Operator:
+    """J(lambda) = -(1/i)[L(lambda), H]; Hermitian, affine in lambda per cell.
+
+    Vanishes at both ends of the lambda domain, where L is 0 or identity.
+    """
+    if b.dim != prop.dim:
+        raise InputError(f"dimension mismatch: beable {b.dim}, propagator {prop.dim}")
+    l_mat = lower_projector(b, lam).entries
+    h = prop.hamiltonian.entries
+    j = 1j * (l_mat @ h - h @ l_mat)
+    # symmetrize away matmul roundoff so the hermitian flag is exact even
+    # when the commutator is numerically zero
+    j = (j + j.conj().T) / 2
+    return Operator(j, hermitian=True)
+
+
+def quantum_probability(state: QuantumState, beable_set: BeableSet, cells) -> float:
+    """P(cells, t) = <t| prod_ell P_ell(n_ell) |t>.
+
+    Real up to roundoff because the projectors commute; lies in
+    [-1e-10, 1 + 1e-10] and sums to 1 over all cell tuples.
+    """
+    if state.dim != beable_set.dim:
+        raise InputError(f"dimension mismatch: state {state.dim}, set {beable_set.dim}")
+    cells = _resolve_cells(beable_set, cells)
+    vec = state.amplitudes
+    for ell, b in enumerate(beable_set):
+        vec = b.projectors[cells[ell]].entries @ vec
+    p = complex(np.vdot(state.amplitudes, vec))
+    if abs(p.imag) > 1e-10:
+        raise NumericError(f"probability has imaginary part {p.imag:.3e}")
+    if not (-1e-10 <= p.real <= 1.0 + 1e-10):
+        raise NumericError(f"probability {p.real:.12g} outside [0, 1]")
+    return p.real
+
+
+def symmetrized_current(state: QuantumState, beable_set: BeableSet, ell: int,
+                        lambdas, prop: Propagator,
+                        symmetrization: Symmetrization = Symmetrization.SYMMETRIC_AVERAGE,
+                        ) -> float:
+    """J_ell(Lambda, t): ordering-averaged current expectation (reference path).
+
+    For the symmetric average, each subset A of the other beables' projectors
+    contributes weight |A|! (L-1-|A|)! / L! with the subset applied left of
+    the current operator and the complement right. The averaged operator is
+    Hermitian, so the imaginary residue must stay below 1e-9 and is asserted
+    before truncation. The ordered variant takes the real part of the single
+    canonical ordering instead.
+    """
+    lam = _lambda_values(beable_set, lambdas)
+    if state.dim != beable_set.dim:
+        raise InputError(f"dimension mismatch: state {state.dim}, set {beable_set.dim}")
+    ell = int(ell)
+    n_b = len(beable_set)
+    if not 0 <= ell < n_b:
+        raise InputError(f"beable index {ell} out of range")
+    j_mat = current_operator(beable_set[ell], lam[ell], prop).entries
+    psi = state.amplitudes
+    others = [m for m in range(n_b) if m != ell]
+    proj = {m: beable_set[m].projectors[cell_index(beable_set[m], lam[m])].entries
+            for m in others}
+
+    if symmetrization is Symmetrization.ORDERED_REAL_PART:
+        left = psi.copy()
+        for m in reversed([m for m in others if m < ell]):
+            left = proj[m] @ left
+        right = psi.copy()
+        for m in reversed([m for m in others if m > ell]):
+            right = proj[m] @ right
+        return complex(np.vdot(left, j_mat @ right)).real
+
+    weights = _subset_weights(n_b)
+    value = 0.0 + 0.0j
+    for mask in range(1 << len(others)):
+        left = psi
+        right = psi
+        size = 0
+        for i, m in enumerate(others):
+            if mask >> i & 1:
+                left = proj[m] @ left
+                size += 1
+            else:
+                right = proj[m] @ right
+        value += weights[size] * complex(np.vdot(left, j_mat @ right))
+    if abs(value.imag) > CURRENT_IMAG_TOL:
+        raise NumericError(
+            f"symmetrized current has imaginary part {value.imag:.3e} "
+            f"(must be <= {CURRENT_IMAG_TOL:g})"
+        )
+    return value.real
 
 
 # ---------------------------------------------------------------------------

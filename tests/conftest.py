@@ -54,6 +54,15 @@ def build_with_defect(monkeypatch, field, slot, defect):
     monkeypatch.setattr(field, "_tuple_stack", defective)
 
 
+def velocity(field, state, lambdas):
+    """v = J / P of the field at one configuration, in the cells of lambdas
+    (the closed top boundary K - 1/2 included), from
+    VelocityField.velocities."""
+    lam = np.asarray(lambdas, dtype=float)
+    cells = tuple(bs.cell_index(b, x) for b, x in zip(field.beable_set, lam.tolist()))
+    return field.velocities(field.state_coefficients(state), lam, cells, state.time)
+
+
 def random_state(rng, dim, time=0.0):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return bs.QuantumState(v / np.linalg.norm(v), time=time)

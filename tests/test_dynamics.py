@@ -12,7 +12,6 @@ from beable_sim.dynamics import (
     Symmetrization,
     _aim,
     _aim_rows,
-    _carries,
     _cross,
     _dp_stages,
     _escapes,
@@ -22,18 +21,19 @@ from beable_sim.dynamics import (
     _hermite_first_contact,
     _integrate_block,
     _integrate_on_grid,
+    _ordering_table,
     _ordering_weights,
     _output_grid,
     _retry_step,
     _STAGE_C,
     _stage_nodes,
-    _subset_weights,
 )
 from beable_sim.errors import InputError, NodeError, NumericError
 from beable_sim.tables import FormTables
-from beable_sim.verification import _draw_lambda, _initial_cdf
+from beable_sim.verification import _draw_lambda, _initial_cdf, _subset_weights
 
-from conftest import I2, SZ, build_with_defect, random_hermitian, random_state, tuple_stack
+from conftest import (I2, SZ, build_with_defect, random_hermitian, random_state, tuple_stack,
+                      velocity)
 
 
 def two_qubit_set():
@@ -107,6 +107,15 @@ class TestSymmetrizedCurrent:
                     total = sum(math.comb(q, j) * w[r + j] for j in range(q + 1))
                     assert total == pytest.approx(_subset_weights(r + s + 1)[r], rel=1e-12)
 
+    def test_ordering_table_matches_the_subset_weights(self):
+        # the one check that ties the field's ordering table to the
+        # reference's subset weights; the two share no code
+        for n_b in range(1, 9):
+            table = _ordering_table(n_b)
+            for r in range(n_b):
+                for s in range(n_b):
+                    assert table[r, s] == _subset_weights(r + s + 1)[r], (n_b, r, s)
+
     def test_single_beable_rabi(self, rabi):
         # J(0.5) = (omega/2) <sigma_y>, with <sigma_y>(t) = -sin(omega t)
         for t in (0.3, 1.0, 2.0):
@@ -159,24 +168,24 @@ class TestVelocity:
         field = bs.VelocityField(bs.validate_commuting_set([b]), prop)
         state = random_state(rng, 5)
         for lam in rng.uniform(-0.5, b.n_cells - 0.5, size=10):
-            v = bs.velocity(field, state, [lam])
+            v = velocity(field, state, [lam])
             assert np.max(np.abs(v)) <= 1e-10
 
     def test_rabi_ratio(self, rabi):
         t = 0.9
         st = rabi.state(t)
-        v = bs.velocity(rabi.field, st, [0.5])
+        v = velocity(rabi.field, st, [0.5])
         expected = (0.5 * -np.sin(t)) / np.cos(t / 2) ** 2
         assert v[0] == pytest.approx(expected, abs=1e-12)
 
     def test_zero_at_top_boundary(self, rabi):
-        v = bs.velocity(rabi.field, rabi.state(0.4), [1.5])
+        v = velocity(rabi.field, rabi.state(0.4), [1.5])
         assert v[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_node_error_carries_context(self, rabi):
         # |up> puts zero probability in cell 0
         with pytest.raises(NodeError) as err:
-            bs.velocity(rabi.field, rabi.state0, [0.2])
+            velocity(rabi.field, rabi.state0, [0.2])
         assert err.value.cells == (0,)
         assert err.value.probability <= 1e-12
 
@@ -195,7 +204,7 @@ class TestVelocity:
                     bs.symmetrized_current(state, bset, ell, lam, prop)
                     for ell in range(n_b)
                 ]) / p
-                got = bs.velocity(field, state, lam)
+                got = velocity(field, state, lam)
                 assert np.max(np.abs(got - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
 
     def test_affine_within_cell(self, rng):
@@ -207,7 +216,7 @@ class TestVelocity:
         vals = []
         for x in offsets:
             lam = np.array([cells[0] + x, float(cells[1])])
-            vals.append(bs.velocity(field, state, lam)[0])
+            vals.append(velocity(field, state, lam)[0])
         slope_a = (vals[1] - vals[0]) / (offsets[1] - offsets[0])
         slope_b = (vals[2] - vals[1]) / (offsets[2] - offsets[1])
         assert slope_a == pytest.approx(slope_b, abs=1e-10)
@@ -1379,56 +1388,44 @@ class TestDormandPrinceStep:
 
 
 class TestCarriedStage:
-    """A step clamped onto a record time hands its last stage to the next
-    step; a run that takes a fresh first stage after every record instead
-    records the same bits."""
+    """Both integrators start a step with the last stage of the step before
+    it unless that step crossed a boundary, also after a step clamped to a
+    record time."""
 
-    @staticmethod
-    def carried_and_fresh(monkeypatch, field, state0, grid, tol):
-        """The runs of five seeded starts with stages carried across record
-        times and with fresh ones, and the calls of _carries at a record
-        time: whether the stage was carried, and whether t + h hit it."""
+    def test_no_fresh_first_stage_at_a_record_time(self, monkeypatch):
+        # from t = 0.1, a step clamped to 0.43 ends at 0.1 + (0.43 - 0.1) =
+        # 0.42999999999999994, and its last stage still starts the next step
         import beable_sim.dynamics as dyn
 
-        records = set(grid.tolist())
-        calls = []
-
-        def spy(esc, t, t_end):
-            out = _carries(esc, t, t_end)
-            if t in records:
-                calls.append((out, t == t_end))
-            return out
-
-        def fresh_after_records(esc, t, t_end):
-            return _carries(esc, t, t_end) and t not in records
-
-        runs = []
-        for rule in (spy, fresh_after_records):
-            monkeypatch.setattr(dyn, "_carries", rule)
-            runs.append([_integrate_on_grid(field, state0, lam, grid, **tol)
-                         for lam in seeded_starts(field, state0, 5)])
-        return runs, calls
-
-    def test_a_carried_stage_changes_no_record_bit(self, monkeypatch):
-        for name in bs.PRESET_NAMES:
-            cfg = parse_config({"preset": name})
-            m = build_model(cfg)
-            grid = _output_grid(m.state0.time, cfg.run.t_final, cfg.run.output_dt)
-            runs, calls = self.carried_and_fresh(
-                monkeypatch, m.field, m.state0, grid,
-                dict(rtol=cfg.dynamics.rtol, atol=cfg.dynamics.atol))
-            assert_rows_identical(*runs)
-            assert sum(out for out, _ in calls) >= 10 * 5, name
-
-    def test_a_step_that_misses_its_record_time_takes_a_fresh_stage(self, monkeypatch):
-        # from t = 0.1, a step clamped to 0.43 ends at 0.1 + (0.43 - 0.1) =
-        # 0.42999999999999994; its last stage is not the stage at 0.43
         m = build_model(parse_config({"preset": "number-operator"}))
         state = bs.evolve(m.state0, m.propagator, 0.1)
-        runs, calls = self.carried_and_fresh(monkeypatch, m.field, state,
-                                             np.array([0.43, 1.0, 6.0]), BLOCK_TOL)
-        assert_rows_identical(*runs)
-        assert (False, False) in calls and (True, True) in calls
+        grid = np.array([0.43, 1.0, 6.0])
+        starts = seeded_starts(m.field, state, 5)
+        forms_at, velocities = dyn._forms_at, m.field.velocities
+        first_stage_times = []
+
+        def spy_forms_at(field, coeff0, m_e, t0, cells, times):
+            # a fresh first stage of the one-trajectory path shares its call
+            # with the step's five stage times
+            if times.size == dyn._FRESH_C.size:
+                first_stage_times.append(float(times[0]))
+            return forms_at(field, coeff0, m_e, t0, cells, times)
+
+        def spy_velocities(coeff, lam, cells, time):
+            first_stage_times.extend(np.atleast_1d(time).tolist())
+            return velocities(coeff, lam, cells, time)
+
+        monkeypatch.setattr(dyn, "_forms_at", spy_forms_at)
+        monkeypatch.setattr(m.field, "velocities", spy_velocities)
+        want = [_integrate_on_grid(m.field, state, lam, grid, **BLOCK_TOL) for lam in starts]
+        got = _integrate_block(m.field, state, starts, grid, **BLOCK_TOL)
+        assert 0.1 in first_stage_times
+        assert 0.43 not in first_stage_times
+        for i, (a, b) in enumerate(zip(got, want, strict=True)):
+            assert a.status is b.status, i
+            assert np.array_equal(a.cells, b.cells), i
+            np.testing.assert_allclose(a.lambdas, b.lambdas, rtol=0.0, atol=1e-12,
+                                       err_msg=f"start {i}")
 
 
 class TestIntegrateTrajectory:

@@ -519,3 +519,35 @@ class TestWorkerResolution:
         monkeypatch.setenv("BEABLE_SIM_THREADS", "0")
         with pytest.raises(InputError, match="BEABLE_SIM_THREADS must be at least 1, got '0'"):
             _resolve_workers(None)
+
+
+class TestDenseOperatorReferences:
+    """The dense-operator references are oracles: they live in verification,
+    and the production modules neither define nor import them."""
+
+    MOVED = ("quantum_probability", "symmetrized_current", "lower_projector",
+             "current_operator", "_subset_weights", "_resolve_cells")
+
+    def test_production_modules_hold_no_reference(self):
+        import ast
+        import inspect
+
+        import beable_sim.beables as beables
+        import beable_sim.dynamics as dynamics
+
+        for module in (dynamics, beables):
+            imported = {alias.asname or alias.name
+                        for node in ast.walk(ast.parse(inspect.getsource(module)))
+                        if isinstance(node, (ast.Import, ast.ImportFrom))
+                        for alias in node.names}
+            for name in self.MOVED + ("velocity",):
+                assert not hasattr(module, name), (module.__name__, name)
+                assert name not in imported, (module.__name__, name)
+
+    def test_the_package_reexports_the_verification_objects(self):
+        for name in ("quantum_probability", "symmetrized_current", "lower_projector",
+                     "current_operator"):
+            assert getattr(bs, name) is getattr(verification, name), name
+            assert name in bs.__all__, name
+        assert not hasattr(bs, "velocity")
+        assert "velocity" not in bs.__all__
