@@ -275,17 +275,29 @@ class LambdaConfig:
             raise InputError(
                 f"lambda vector must have length {len(beable_set)}, got shape {v.shape}"
             )
-        for ell, b in enumerate(beable_set):
-            if not (b.lambda_min <= v[ell] < b.lambda_max):
-                raise InputError(
-                    f"lambda[{ell}] = {v[ell]:.12g} outside "
-                    f"[{b.lambda_min:g}, {b.lambda_max:g}) for beable '{b.label}'"
-                )
+        check_lambda_domain(v, beable_set)
         v.setflags(write=False)
         self.values = v
 
     def __repr__(self):
         return f"LambdaConfig({list(self.values)})"
+
+
+def check_lambda_domain(values: np.ndarray, beable_set: BeableSet) -> None:
+    """Raise InputError naming the first entry of values (..., L), in row
+    order, outside its beable's half-open domain [lambda_min, lambda_max)
+    (a NaN is outside)."""
+    low = np.array([b.lambda_min for b in beable_set])
+    high = np.array([b.lambda_max for b in beable_set])
+    outside = ~((low <= values) & (values < high))
+    if outside.any():
+        first = np.unravel_index(int(np.argmax(outside)), values.shape)
+        ell = int(first[-1])
+        b = beable_set[ell]
+        raise InputError(
+            f"lambda[{ell}] = {values[first]:.12g} outside "
+            f"[{b.lambda_min:g}, {b.lambda_max:g}) for beable '{b.label}'"
+        )
 
 
 def cell_index(b: BeableOperator, lam: float) -> int:

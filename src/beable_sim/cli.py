@@ -13,6 +13,7 @@ worker count when --workers is absent (default: available parallelism).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -231,8 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: building it costs about as much as a small model's
+# set-up, and parse_args leaves it unchanged (every call fills a new namespace)
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

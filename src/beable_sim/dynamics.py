@@ -3,17 +3,38 @@
 The velocity field is v_ell = J_ell / P where P is the expectation of the
 product of cell projectors and J_ell is the (ordering-averaged) expectation
 of the current operator sandwiched between the other beables' projectors.
-P is constant and J_ell affine in lambda_ell inside a cell, so the ODE
-right-hand side is piecewise smooth with jumps only at half-integer cell
-boundaries. Integration steps an embedded Dormand-Prince 4(5) pair with the
-cell assignment held fixed during each step, and its step control places
-every cell crossing to CROSSING_TOL in lambda by three rules:
+Inside a cell tuple P depends only on t and J_ell is affine in lambda_ell,
+so each component obeys its own scalar linear ODE y' = a(t) y + b(t), with
+a = X_ell / P and b = ((1/2 - n_ell) X_ell + Y_ell) / P, and the
+right-hand side jumps only at half-integer cell boundaries. Integration
+holds the cell assignment fixed during each step and takes one exponential
+quadrature step (Hochbruck & Ostermann, Acta Numerica 19 (2010) 209) on
+the six Radau IIA nodes t + c_i h, c = 0.0398.., 0.1980.., 0.4380..,
+0.6955.., 0.9015.., 1:
+
+    A_i = h sum_j S_ij a_j,  S_ij the integral of the Lagrange basis l_j
+                             from 0 to c_i (its last row the weights w),
+    y_new = exp(A_6) y + h sum_i w_i exp(A_6 - A_i) b_i,
+
+with exp(A_6 - A_i) taken from the tails, the integrals of l_j from c_i
+to 1. The local error estimate is the difference to the interpolatory rule
+on the five nodes without the fourth, to first order,
+
+    err = y_new h sum_i d_i a_i + h sum_i d_i exp(A_6 - A_i) b_i,
+
+with d = w - w5. The tolerances bound that 5-node rule. The 6-node rule
+delivered integrates polynomials of degree 10 exactly, against 4 for the
+5-node rule, so its error is far smaller: at rtol 1e-7 the recorded
+lambdas stay within about 1e-11 of the oracles on the presets. A step
+whose y_new or error is not finite (exp overflows where P is small) is
+rejected with the smallest factor. The step control places every cell
+crossing to CROSSING_TOL in lambda by three rules:
 
 1. Before a trial step, a component moving toward an interior cell
    boundary (never a domain end, where J = 0) whose linear prediction from
-   the step's first stage reaches that boundary within the step shortens
-   the step to land CROSSING_TOL / 2 past it. It crosses in place instead
-   if it is already within CROSSING_TOL of the boundary, or if the
+   the step's first stage f(t, y) reaches that boundary within the step
+   shortens the step to land CROSSING_TOL / 2 past it. It crosses in place
+   instead if it is already within CROSSING_TOL of the boundary, or if the
    shortened step would fall below the time resolution 1e-14 max(1, |t|).
 2. An error-accepted trial that escapes its cell by more than CROSSING_TOL
    is retried from the same point, shortened to the first boundary contact
@@ -27,20 +48,22 @@ unchanged; a rejected one shrinks it like any rejected step.
 
 A step holds its cells and the state advances by known phases, so the
 forms that P and J are made of depend on neither lambda nor the trajectory
-and are known at all five new stage times t + c h of a step before it
-starts. The one-trajectory integrator takes them from one stacked product
-per step; the ensemble block reads them from per-tuple Chebyshev tables in
-time (see tables.FormTables), which differ from the direct forms only by
-roundoff. The forms are real: a tuple's operators are checked for
-Hermiticity once, when they are built (VelocityField._tuple_ops). Either
-way the five stage rows meet the node floor once per step, with the outcome
-of one velocity call per stage (_stage_nodes), and each stage then only
-combines its row with its own lambda: L numbers, which the one-trajectory
-step combines in Python floats (_float_step) with the block's per-row
-arithmetic. The pair is FSAL: a step's last stage is f(t + h, y_new) in
-the cells the step held, and both integrators start the next step with it
-unless the step crossed a boundary, also after a step clamped to a record
-time.
+and are known at all six nodes of a step before it starts. The
+one-trajectory integrator takes them from one stacked product per step;
+the ensemble block reads them from per-tuple Chebyshev tables in time (see
+tables.FormTables), which differ from the direct forms only by roundoff.
+The forms are real: a tuple's operators are checked for Hermiticity once,
+when they are built (VelocityField._tuple_ops). Either way the six node
+rows meet the node floor once per step, in node order, and the step is
+then L independent scalar quadratures. The one-trajectory step computes
+them in Python floats (_float_step), the block on arrays (_block_step),
+with the same arithmetic: each node sum runs in node order, elementwise,
+never through BLAS, so a row's bits do not depend on the block; only the
+exponential (math.exp against numpy's) may differ in the last bit. A
+step's first stage f(t, y) is needed only by the crossing rules and the
+first step size. It is FSAL: the last node's f(t + h, y_new) = a_6 y_new
++ b_6 in the cells the step held starts the next step unless the step
+crossed a boundary, also after a step clamped to a record time.
 
 P, the cell distribution and J are built in the beables' joint eigenbasis,
 where cell projectors are 0/1 masks, and evaluated in the Hamiltonian
@@ -59,7 +82,7 @@ from enum import Enum
 
 import numpy as np
 
-from .beables import BeableSet, LambdaConfig, cell_index
+from .beables import BeableSet, LambdaConfig, cell_index, check_lambda_domain
 from .errors import InputError, NodeError, NumericError
 from .linalg import Propagator, QuantumState
 from .tables import FormTables
@@ -174,9 +197,9 @@ class VelocityField:
     Each tuple's stack is checked once, when it is built, so that every
     form is real for every state (see _tuple_ops). The forms depend only on
     the tuple and the state, never on lambda, so the integrators take them
-    for many stage times at once (from one _forms call, or from tables in
+    for all nodes of a step at once (from one _forms call, or from tables in
     time filled by _forms calls) and check the node floor and combine them
-    with each stage's lambda themselves.
+    with lambda themselves.
     """
 
     def __init__(self, beable_set: BeableSet, propagator: Propagator,
@@ -224,7 +247,7 @@ class VelocityField:
         |Im <A>| <= dim max|A - A^H| / 2. Pi's bound must stay within 1e-10
         and, under the symmetric average, X_ell's plus Y_ell's bound within
         the current tolerance; Y_ell's bound is read through expand, like its
-        form. The bounds do not depend on lambda, so a stage input far outside
+        form. The bounds do not depend on lambda, so a lambda far outside
         its cell (u up to 1e9) cannot magnify roundoff past them.
         Returns (gemm, shift, expand); see _tuple_stack.
         """
@@ -369,117 +392,145 @@ class VelocityField:
         return self._currents_of(vals, lam, shift) / p[:, None]
 
 
-# Dormand-Prince 5(4) tableau; the last stage row doubles as the 5th-order
-# weights, the 7th stage sits at t + h, and the error row is b5 - b4. The
-# error row is Python floats, like the stage rows, so that _float_step reads
-# them as floats.
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+# The six Radau IIA nodes of a step, t + c h: the zeros of P_6(2c - 1) -
+# P_5(2c - 1), with P_k the Legendre polynomials. With l_j the Lagrange basis
+# of the nodes, the tails are the integrals of l_j from node i to 1 (i = 1..5),
+# the weights w those from 0 to 1, and the error row is d = w - w5, w5 the
+# interpolatory weights of the five nodes without the fourth (0 there). Each
+# is a 60-digit value rounded to double (tests check them in exact rational
+# arithmetic). They are Python floats, which _float_step reads as floats.
+_RADAU_C = (0.03980985705146874, 0.19801341787360818, 0.43797481024738616,
+            0.6954642733536361, 0.9014649142011736, 1.0)
+_RADAU_TAIL = (
+    (0.04984418163209981, 0.22735797371024602, 0.24677732016169926,
+     0.25306363300053103, 0.15245972021361567, 0.03068731423033949),
+    (-0.0074274662923182405, 0.10147514721862126, 0.2880024149501799,
+     0.2251968470932568, 0.17147409850145107, 0.023265540655201023),
+    (0.0030145225340950654, -0.014721583480941967, 0.1241487123217356,
+     0.27234056022268116, 0.14346179776681833, 0.033781180388225654),
+    (-0.001328182986193421, 0.0054747097828627906, -0.01593574478596034,
+     0.11168757109844198, 0.18469667981007776, 0.01994069372713513),
+    (0.0004631912417796185, -0.0017966413973845923, 0.004378019544449875,
+     -0.010672340470080692, 0.06738984227455588, 0.038773014605506334),
 )
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-# the five new stage times of a step are t + c h for these c; the 6th and 7th
-# stages share t + h, so stage i reads stage row _STAGE_ROW[i]. A step that
-# needs a fresh first stage takes it at t + 0 h = t in the same call, at the
-# times t + _FRESH_C h.
-_STAGE_C = np.array(_DP_C[1:6])
-_FRESH_C = np.array(_DP_C[:6])
-_STAGE_ROW = (None, 0, 1, 2, 3, 4, 4)
+_RADAU_W = (0.10079419262674041, 0.20845066715595387, 0.2604633915947875,
+            0.24269359423448497, 0.15982037661025547, 0.027777777777777776)
+_RADAU_ERR = (-0.037420088359264254, 0.12001642862179815, -0.19952147953524024,
+              0.24269359423448497, -0.22422407101560066, 0.09845561605382204)
+# a step's forms are taken at t + _STAGE_C h; a step that needs a fresh first
+# stage takes it at t + 0 h = t in the same call, at the times t + _FRESH_C h
+_STAGE_C = np.array(_RADAU_C)
+_FRESH_C = np.array((0.0,) + _RADAU_C)
 # rows per table evaluation in an ensemble block: its temporaries grow as
-# rows x 5 x (2L + 1), which the largest blocks would otherwise hold all at
+# rows x 6 x (2L + 1), which the largest blocks would otherwise hold all at
 # once
 _FORMS_ROWS = 256
 
 
-def _tableau_sum(row, k):
-    """sum_j row[j] k[j] over the nonzero tableau entries, elementwise, so a
-    row of the block never meets another row in a reduction."""
-    out = None
-    for a, kj in zip(row, k):
-        if a:
-            out = a * kj if out is None else out + a * kj
-    return out
-
-
-def _dp_stages(y, h, k1, stage):
-    """The Dormand-Prince stages of rows y (n, L) with steps h (n, 1) and
-    first stages k1 (n, L); stage(i, y_i) is the derivative (n, L) of stage
-    i = 1..6 at its input y_i. Each stage input and the error estimate sum
-    their nonzero tableau entries left to right, elementwise
-    (_tableau_sum), so a row never meets another row. Returns the
-    5th-order solution, the error estimate and the seven stages; the 7th
-    stage input is the 5th-order solution, so its derivative f(t + h,
-    y_new) comes for free."""
-    k = [k1]
-    for i in range(1, 7):
-        yi = y + h * _tableau_sum(_DP_A[i], k)
-        k.append(stage(i, yi))
-    return yi, h * _tableau_sum(_DP_ERR, k), k
-
-
-def _forms_stage(forms: np.ndarray, shift: np.ndarray):
-    """The stage(i, y_i) of _dp_stages for rows whose real forms (5, n,
-    2L + 1) at the five new stage times are known, with lambda shifts
-    (n, L): v = ((y_i + shift) X + Y) / P, elementwise."""
-    n_b = shift.shape[-1]
-
-    def stage(i, yi):
-        vals = forms[_STAGE_ROW[i]]
-        return ((yi + shift) * vals[:, 1:n_b + 1] + vals[:, n_b + 1:]) / vals[:, :1]
-    return stage
-
-
 def _float_step(field: VelocityField, vals: np.ndarray, cells: tuple, t: float,
-                y: list, h: float, k1: list):
-    """One Dormand-Prince step of one trajectory from (t, y) with step h and
-    first stage k1, in the cells it holds, with vals the forms (5, 2L + 1)
-    at its five new stage times (see _forms_at). Returns the 5th-order
-    solution, the error estimate and the last stage f(t + h, y_new), all
-    lists of Python floats.
+                y: list, h: float):
+    """One exponential Radau step of one trajectory from (t, y) with step h,
+    in the cells it holds, with vals the forms (6, 2L + 1) at its six nodes
+    (see _forms_at). Returns the solution, the error estimate and the last
+    node's f(t + h, y_new), all lists of Python floats; a step whose
+    exponential overflows returns NaN for all three, which its error norm
+    rejects.
 
-    The stage rows meet the node floor once (_stage_nodes), as in the block
-    path; a row at a node raises the NodeError of the first stage that reads
-    it, at that stage's time. Then the rows become lists, and every number is
-    the one the block path's per-row arithmetic (_dp_stages) gives: each
-    stage input and the error sum the nonzero tableau entries left to
-    right, and a stage is ((y_i + shift) X + Y) / P. The stages are
-    written out one by one, each input inside its stage's comprehension,
-    because a loop over the tableau rows costs about a tenth more at L = 5.
+    The node rows meet the node floor once, in node order: a row at a node
+    raises the NodeError of the first such node, at its time. Then the rows
+    become lists, and every number is the one _block_step's elementwise
+    arithmetic gives, but for the exponential (math.exp, not numpy's): per
+    component a_j = X_j / P_j and b_j = (shift X_j + Y_j) / P_j (see
+    _node_rates), then g_j = h a_j, and every quadrature sums its six node
+    terms left to right, constant first. The nodes are written out one by
+    one: the same arithmetic as loops and sums over the nodes took 2x the
+    time at L = 1 and 3.5-3.9x at L = 5.
     """
-    first = _stage_nodes(field, vals[:, :1])
-    if first is not None and first[0] < _STAGE_C.size:
-        row = int(first[0])
-        raise NodeError(cells, vals[row, 0], t + _DP_C[row + 1] * h)
     rows = vals.tolist()
+    p = [row[0] for row in rows]
+    if min(p) <= field.node_floor:
+        node = next(i for i, q in enumerate(p) if q <= field.node_floor)
+        raise NodeError(cells, p[node], t + _RADAU_C[node] * h)
     n_b = len(y)
-    shift = [0.5 - n for n in cells]
-    (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
-     (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76)) = _DP_A
-    e1, _, e3, e4, e5, e6, e7 = _DP_ERR
     # each row is P, then the X forms (zip stops after L) and the Y forms
-    (p2, *r2), (p3, *r3), (p4, *r4), (p5, *r5), (p6, *r6) = rows
-    k2 = [((u + h * (a21 * f1) + s) * x + c) / p2
-          for u, f1, s, x, c in zip(y, k1, shift, r2, r2[n_b:])]
-    k3 = [((u + h * (a31 * f1 + a32 * f2) + s) * x + c) / p3
-          for u, f1, f2, s, x, c in zip(y, k1, k2, shift, r3, r3[n_b:])]
-    k4 = [((u + h * (a41 * f1 + a42 * f2 + a43 * f3) + s) * x + c) / p4
-          for u, f1, f2, f3, s, x, c in zip(y, k1, k2, k3, shift, r4, r4[n_b:])]
-    k5 = [((u + h * (a51 * f1 + a52 * f2 + a53 * f3 + a54 * f4) + s) * x + c) / p5
-          for u, f1, f2, f3, f4, s, x, c in zip(y, k1, k2, k3, k4, shift, r5, r5[n_b:])]
-    k6 = [((u + h * (a61 * f1 + a62 * f2 + a63 * f3 + a64 * f4 + a65 * f5) + s) * x + c) / p6
-          for u, f1, f2, f3, f4, f5, s, x, c in zip(y, k1, k2, k3, k4, k5, shift, r6, r6[n_b:])]
-    y_new = [u + h * (a71 * f1 + a73 * f3 + a74 * f4 + a75 * f5 + a76 * f6)
-             for u, f1, f3, f4, f5, f6 in zip(y, k1, k3, k4, k5, k6)]
-    k7 = [((u + s) * x + c) / p6 for u, s, x, c in zip(y_new, shift, r6, r6[n_b:])]
-    err = [h * (e1 * f1 + e3 * f3 + e4 * f4 + e5 * f5 + e6 * f6 + e7 * f7)
-           for f1, f3, f4, f5, f6, f7 in zip(k1, k3, k4, k5, k6, k7)]
-    return y_new, err, k7
+    (p1, *r1), (p2, *r2), (p3, *r3), (p4, *r4), (p5, *r5), (p6, *r6) = rows
+    ((t11, t12, t13, t14, t15, t16), (t21, t22, t23, t24, t25, t26),
+     (t31, t32, t33, t34, t35, t36), (t41, t42, t43, t44, t45, t46),
+     (t51, t52, t53, t54, t55, t56)) = _RADAU_TAIL
+    w1, w2, w3, w4, w5, w6 = _RADAU_W
+    d1, d2, d3, d4, d5, d6 = _RADAU_ERR
+    exp = math.exp
+    y_new, err, f_last = [], [], []
+    try:
+        for u, n, x1, x2, x3, x4, x5, x6, c1, c2, c3, c4, c5, c6 in zip(
+                y, cells, r1, r2, r3, r4, r5, r6,
+                r1[n_b:], r2[n_b:], r3[n_b:], r4[n_b:], r5[n_b:], r6[n_b:]):
+            s = 0.5 - n
+            a6 = x6 / p6
+            b6 = (s * x6 + c6) / p6
+            g1, g2, g3, g4, g5, g6 = (h * (x1 / p1), h * (x2 / p2), h * (x3 / p3),
+                                      h * (x4 / p4), h * (x5 / p5), h * a6)
+            q1 = exp(t11 * g1 + t12 * g2 + t13 * g3 + t14 * g4 + t15 * g5 + t16 * g6) \
+                * ((s * x1 + c1) / p1)
+            q2 = exp(t21 * g1 + t22 * g2 + t23 * g3 + t24 * g4 + t25 * g5 + t26 * g6) \
+                * ((s * x2 + c2) / p2)
+            q3 = exp(t31 * g1 + t32 * g2 + t33 * g3 + t34 * g4 + t35 * g5 + t36 * g6) \
+                * ((s * x3 + c3) / p3)
+            q4 = exp(t41 * g1 + t42 * g2 + t43 * g3 + t44 * g4 + t45 * g5 + t46 * g6) \
+                * ((s * x4 + c4) / p4)
+            q5 = exp(t51 * g1 + t52 * g2 + t53 * g3 + t54 * g4 + t55 * g5 + t56 * g6) \
+                * ((s * x5 + c5) / p5)
+            v = exp(w1 * g1 + w2 * g2 + w3 * g3 + w4 * g4 + w5 * g5 + w6 * g6) * u \
+                + h * (w1 * q1 + w2 * q2 + w3 * q3 + w4 * q4 + w5 * q5 + w6 * b6)
+            y_new.append(v)
+            err.append(v * (d1 * g1 + d2 * g2 + d3 * g3 + d4 * g4 + d5 * g5 + d6 * g6)
+                       + h * (d1 * q1 + d2 * q2 + d3 * q3 + d4 * q4 + d5 * q5 + d6 * b6))
+            f_last.append(a6 * v + b6)
+    except OverflowError:
+        nan = [math.nan] * n_b
+        return nan, nan, nan
+    return y_new, err, f_last
+
+
+def _node_rates(forms: np.ndarray, shift: np.ndarray):
+    """a = X / P and b = (shift X + Y) / P, each (..., L), from forms
+    (..., 2L + 1) and shifts broadcast to (..., L): the ODE y' = a y + b of
+    each component in a step's cells. b is the velocity at lambda = 0."""
+    n_b = shift.shape[-1]
+    x = forms[..., 1:n_b + 1]
+    p = forms[..., :1]
+    return x / p, (shift * x + forms[..., n_b + 1:]) / p
+
+
+def _block_step(forms: np.ndarray, shift: np.ndarray, y: np.ndarray, h: np.ndarray):
+    """_float_step for m rows: forms (6, m, 2L + 1) at the six nodes of each
+    row's step, lambda shifts and y (m, L) and steps h (m, 1). Returns the
+    solutions, error estimates and last-node f(t + h, y_new), each (m, L);
+    an overflowed exponential leaves inf or NaN in a row's solution and
+    error.
+
+    Every operation is elementwise, and each quadrature sums its node terms
+    in node order with one array operation per node, never through BLAS,
+    whose bits can depend on the shape of the call: a row's result does
+    not depend on the other rows, and it is _float_step's to the bit but
+    for the exponential."""
+    a, b = _node_rates(forms, shift)
+    g = h * a
+    # rows: the five tails, then w and d; the b sums need w and d
+    sums_g = np.array(_RADAU_TAIL + (_RADAU_W, _RADAU_ERR))[:, :, None, None]
+    sums_q = sums_g[5:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = sums_g[:, 0] * g[0]
+        for j in range(1, 6):
+            acc = acc + sums_g[:, j] * g[j]
+        q = np.exp(acc[:5]) * b[:5]
+        quad = sums_q[:, 0] * q[0]
+        for j in range(1, 5):
+            quad = quad + sums_q[:, j] * q[j]
+        quad = quad + sums_q[:, 5] * b[5]
+        y_new = np.exp(acc[5]) * y + h * quad[0]
+        err = y_new * acc[6] + h * quad[1]
+        return y_new, err, a[5] * y_new + b[5]
 
 
 def _forms_at(field: VelocityField, coeff0: np.ndarray, m_e: np.ndarray, t0: float,
@@ -491,10 +542,10 @@ def _forms_at(field: VelocityField, coeff0: np.ndarray, m_e: np.ndarray, t0: flo
 
 
 def _stage_nodes(field: VelocityField, p: np.ndarray):
-    """The node floor on the stage rows of a step, for m rows at once: p
-    (S, m) holds P at the S stage times. Returns each row's first stage at a
-    node (S if none), as one velocities call per stage over the rows still
-    live would find it, or None when no row meets a node."""
+    """The node floor on the node rows of a step, for m rows at once: p
+    (S, m) holds P at the S node times. Returns each row's first node at
+    the floor (S if none), as one velocities call per node over the rows
+    still live would find it, or None when no row meets the floor."""
     if p.min() > field.node_floor:
         return None
     node = p <= field.node_floor
@@ -650,15 +701,13 @@ def _first_step(f, span: float, sgn: float):
     return sgn * np.maximum(h0, 1e-12)
 
 
-def _start(beable_set: BeableSet, t0: float, lam0: np.ndarray, record_times):
-    """Shared set-up of both integrators for starts lam0 (n, L): the lambda
-    and cell record buffers (n, n_rec, L) with the leading time recorded if
-    it equals t0, the number recorded, the direction and the start cells
-    (n, L)."""
+def _start(t0: float, lam0: np.ndarray, cells: np.ndarray, record_times):
+    """Shared set-up of both integrators for starts lam0 (n, L) in cells
+    (n, L): the lambda and cell record buffers (n, n_rec, L) with the
+    leading time recorded if it equals t0, the number recorded and the
+    direction."""
     record_times = np.asarray(record_times, dtype=float)
     n_rec = record_times.size
-    cells = np.array([[cell_index(b, row[ell]) for ell, b in enumerate(beable_set)]
-                      for row in lam0], dtype=np.intp).reshape(lam0.shape)
     rec = np.empty((lam0.shape[0], n_rec, lam0.shape[1]))
     rec_cells = np.empty(rec.shape, dtype=np.intp)
     rec_i = 0
@@ -667,7 +716,7 @@ def _start(beable_set: BeableSet, t0: float, lam0: np.ndarray, record_times):
         rec_cells[:, 0] = cells
         rec_i = 1
     sgn = -1.0 if n_rec and record_times[-1] < t0 else 1.0
-    return record_times, rec, rec_cells, rec_i, sgn, cells
+    return record_times, rec, rec_cells, rec_i, sgn
 
 
 def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
@@ -680,8 +729,8 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
     module docstring. The one-trajectory path of `simulate`, `verify` and
     integrate_trajectory, and the oracle for _integrate_block. Lambda, the
     first stage and the error estimate are lists of Python floats, and a
-    step is float arithmetic on them (_float_step); numpy computes only the
-    forms and their checks.
+    step, its node floor included, is float arithmetic on them
+    (_float_step); numpy computes only the forms.
     """
     beable_set = field.beable_set
     n_cells = beable_set.cell_counts
@@ -690,9 +739,10 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
     n_b = len(beable_set)
     coeff0 = field.state_coefficients(state0)
     m_e = -1j * field._energies
-    record_times, rec, rec_cells, rec_i, sgn, cells = _start(beable_set, t0, y[None],
-                                                             record_times)
-    rec, rec_cells, cells = rec[0], rec_cells[0], tuple(cells[0].tolist())
+    cells = tuple(cell_index(b, lam) for b, lam in zip(beable_set, y.tolist()))
+    record_times, rec, rec_cells, rec_i, sgn = _start(t0, y[None], np.array([cells]),
+                                                      record_times)
+    rec, rec_cells = rec[0], rec_cells[0]
     targets = record_times.tolist()
     n_rec = len(targets)
     if rec_i >= n_rec:
@@ -724,7 +774,7 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
                     continue
             ahead = None
             if f_now is None:
-                # the fresh first stage and the stage forms of a step of h_try
+                # the fresh first stage and the node forms of a step of h_try
                 # from one call; the step uses the latter if it keeps h_try
                 vals, shift = _forms_at(field, coeff0, m_e, t0, cells, t + _FRESH_C * h_try)
                 f_now = field._velocities_of(vals[0], y, shift, cells, t).tolist()
@@ -739,12 +789,13 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
             if ahead is None:
                 ahead = _forms_at(field, coeff0, m_e, t0, cells, t + _STAGE_C * h_try)[0]
 
-            y_new, err, k_last = _float_step(field, ahead, cells, t, y, h_try, f_now)
+            y_new, err, k_last = _float_step(field, ahead, cells, t, y, h_try)
             ratio = [e / (atol + rtol * max(abs(a), abs(b))) for e, a, b in zip(err, y, y_new)]
             enorm = math.sqrt(sum([r * r for r in ratio]) / n_b)
-            if enorm > 1.0:
-                factor = max(0.2, 0.9 * enorm ** -0.2)
-                h = h_try * factor
+            # a non-finite y_new makes its error non-finite, and a NaN or
+            # infinite error norm rejects the step with the smallest factor
+            if not enorm <= 1.0:
+                h = h_try * (max(0.2, 0.9 * enorm ** -0.2) if enorm < math.inf else 0.2)
                 if abs(h) < 1e-14 * max(1.0, abs(t)):
                     raise NumericError(
                         f"step size underflow at t = {t:.12g} (h = {h:.3e})"
@@ -776,7 +827,7 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
     Trajectory per row.
 
     Rows advance in lockstep, each with its own t, step, cells and status,
-    under the same rules: the Dormand-Prince tableau, error norm, accept and
+    under the same rules: the exponential Radau step, error norm, accept and
     reject factors, first step, clamping to record times, MAX_STEPS, the
     underflow check and the three crossing rules of the module docstring.
     (1) A row whose linear prediction reaches an interior boundary within
@@ -787,12 +838,12 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
     Hermite interpolant. (3) One that escapes by at most CROSSING_TOL is
     accepted and snapped into the next cell. Crossing rows stay in the
     block. Each lockstep iteration reads the forms of every stepping row at
-    its five new stage times from the Chebyshev tables of FormTables over
-    [t0, last record time] (one vectorised evaluation per _FORMS_ROWS rows),
-    checks the five stage rows against the node floor once in stage order
+    its six nodes from the Chebyshev tables of FormTables over [t0, last
+    record time] (one vectorised evaluation per _FORMS_ROWS rows), checks
+    the six node rows against the node floor once in node order
     (_stage_nodes: the node aborts and abort times of one velocities call per
-    stage), drops the rows at a node and runs the six stages as array
-    arithmetic.
+    node), drops the rows at a node and takes the step as array arithmetic
+    (_block_step).
     A first stage that is not carried over from the last step is one
     stacked VelocityField.velocities call per tuple. The per-row rules
     (_escapes, _retry_step with its Hermite bisection, and _cross for rule
@@ -801,24 +852,25 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
     the bits they give on numpy rows. A table depends only
     on its tuple, panel and the span, and every other operation is row by
     row (elementwise, a per-row product, or the GEMM inside _forms, whose
-    rows are bit-identical in any block), so a row's result does not depend
+    rows are bit-identical in any block; each node sum of _block_step runs
+    in node order, elementwise), so a row's result does not depend
     on the other rows of the block: any split of an ensemble into blocks
     gives bit-identical results.
     """
     beable_set = field.beable_set
     n_b = len(beable_set)
     n_cells = beable_set.cell_counts
-    lam0 = np.asarray(lam0, dtype=float)
-    if lam0.ndim != 2 or lam0.shape[1] != n_b:
-        raise InputError(f"starts must have shape (n, {n_b}), got {lam0.shape}")
-    y = np.array([_lambda_values(beable_set, row, strict=True) for row in lam0],
-                 dtype=float).reshape(-1, n_b)
+    y = np.array(lam0, dtype=float)
+    if y.ndim != 2 or y.shape[1] != n_b:
+        raise InputError(f"starts must have shape (n, {n_b}), got {y.shape}")
+    check_lambda_domain(y, beable_set)
+    # cell_index's nearest cell, which the half-open domain keeps below the top
+    cells = np.floor(y + 0.5).astype(np.intp)
     n = y.shape[0]
     t0 = state0.time
     coeff0 = field.state_coefficients(state0)
     m_e = -1j * field._energies
-    record_times, rec, rec_cells, rec_start, sgn, cells = _start(beable_set, t0, y,
-                                                                 record_times)
+    record_times, rec, rec_cells, rec_start, sgn = _start(t0, y, cells, record_times)
     n_rec = record_times.size
     # one row-major code per row's cells, for grouping
     radix = np.cumprod((1,) + n_cells[:0:-1])[::-1]
@@ -926,12 +978,12 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
         if not act.size:
             continue
 
-        # the forms at the five new stage times of every stepping row, from
-        # the tables (per _FORMS_ROWS rows), and their node floor in stage order
+        # the forms at the six nodes of every stepping row, from the tables
+        # (per _FORMS_ROWS rows), and their node floor in node order
         frozen = cells[act]
         stage_t = ta[:, None] + _STAGE_C * h_try[:, None]
         rows, x = tables.locate(code[act], stage_t)
-        rows, x = rows.T, x.T                   # (5, rows): stage-major
+        rows, x = rows.T, x.T                   # (6, rows): node-major
         forms = np.empty((_STAGE_C.size, act.size, 2 * n_b + 1))
         for lo in range(0, act.size, _FORMS_ROWS):
             pos = slice(lo, lo + _FORMS_ROWS)
@@ -951,16 +1003,22 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
             if not act.size:
                 continue
 
-        # the Dormand-Prince stages, as array arithmetic on the live rows
+        # the quadrature step, as array arithmetic on the live rows
         ya = y[act]
-        y_new, err, k = _dp_stages(ya, h_try[:, None], f[act], _forms_stage(forms, 0.5 - frozen))
+        y_new, err, f_last = _block_step(forms, 0.5 - frozen, ya, h_try[:, None])
         scale = atol + rtol * np.maximum(np.abs(ya), np.abs(y_new))
-        ratio = err / scale
-        enorm = np.sqrt((ratio * ratio).sum(axis=1) / n_b)
+        with np.errstate(invalid="ignore"):
+            ratio = err / scale
+            enorm = np.sqrt((ratio * ratio).sum(axis=1) / n_b)
 
-        rejected = enorm > 1.0
+        # a non-finite y_new makes its error non-finite, and a NaN or
+        # infinite error norm rejects the step with the smallest factor
+        rejected = ~(enorm <= 1.0)
         if rejected.any():
-            h_new = h_try[rejected] * np.maximum(0.2, 0.9 * enorm[rejected] ** -0.2)
+            bad = enorm[rejected]
+            with np.errstate(invalid="ignore"):
+                h_new = h_try[rejected] * np.where(
+                    bad < np.inf, np.maximum(0.2, 0.9 * bad ** -0.2), 0.2)
             tiny = np.flatnonzero(
                 np.abs(h_new) < 1e-14 * np.maximum(1.0, np.abs(ta[rejected])))
             if tiny.size:
@@ -974,16 +1032,16 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
         excess = np.maximum(y_new - (frozen + 0.5), (frozen - 0.5) - y_new).max(axis=1)
         sel = np.flatnonzero(accepted & (excess > CROSSING_TOL))
         for row, y0, y1, f0, f1, h_row, cells_row in zip(
-                act[sel].tolist(), ya[sel].tolist(), y_new[sel].tolist(), k[0][sel].tolist(),
-                k[6][sel].tolist(), h_try[sel].tolist(), frozen[sel].tolist()):
+                act[sel].tolist(), ya[sel].tolist(), y_new[sel].tolist(), f[act[sel]].tolist(),
+                f_last[sel].tolist(), h_try[sel].tolist(), frozen[sel].tolist()):
             retry[row] = _retry_step(y0, y1, f0, f1, h_row, _escapes(y1, cells_row))
         moved = accepted & (excess <= CROSSING_TOL)
         rows = act[moved]
         t[rows] = np.where(clamped[moved], target[moved], ta[moved] + h_try[moved])
         y[rows] = y_new[moved]
-        # the last stage is f(t + 1.0 * h, y_new) in the old cells, bit for bit;
-        # cross() clears it for a row that crossed
-        f[rows] = k[6][moved]
+        # the last node's f(t + h, y_new) in the old cells; cross() clears it
+        # for a row that crossed
+        f[rows] = f_last[moved]
         fresh[rows] = True
         sel = np.flatnonzero(moved & (excess > 0.0))
         for row, y1, cells_row, when in zip(act[sel].tolist(), y_new[sel].tolist(),

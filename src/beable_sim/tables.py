@@ -70,7 +70,7 @@ class FormTables:
         if n_keys > _TABLE_KEYS:
             raise NumericError(f"the span from t = {t0:.12g} to {t_end:.12g} needs "
                                f"{self.n_panels} panels per cell tuple, too many to tabulate")
-        # stage times may pass the span's end by the rounding of t + c h
+        # node times may pass the span's end by the rounding of t + c h
         self.slack = 16.0 * math.ulp(max(abs(t0), abs(t_end)))
         k = np.arange(_CHEB_NODES)
         angles = np.pi * np.outer(k, k + 0.5) / _CHEB_NODES
@@ -93,7 +93,7 @@ class FormTables:
         s = (times - self.t0) * self.sgn
         if s.size and (s.min() < -self.slack or s.max() > self.span + self.slack):
             bad = times.flat[np.argmax(np.maximum(-s, s - self.span))]
-            raise NumericError(f"stage time {bad:.17g} lies outside the tabulated span "
+            raise NumericError(f"node time {bad:.17g} lies outside the tabulated span "
                                f"from {self.t0:.17g} to {self.t0 + self.sgn * self.span:.17g}")
         pos = s / self.width if self.width > 0 else np.zeros_like(s)
         panel = np.minimum(np.maximum(pos, 0.0).astype(np.intp), self.n_panels - 1)

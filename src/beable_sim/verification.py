@@ -16,9 +16,9 @@ Ensemble runs draw initial configurations from the exact joint cell
 distribution (cell tuple from the enumerated distribution, then lambda
 uniform in the cell), integrate them independently, and compare empirical
 histograms against the evolved quantum distribution by total-variation
-distance. Trajectory workers get independent RNG streams derived from
-(seed, trajectory index), so reports are deterministic for a given seed
-regardless of worker count.
+distance. Each trajectory draws from its own counter-based stream, a
+splitmix64 hash of (seed, trajectory index, draw), so reports are
+deterministic for a given seed regardless of worker count and block split.
 
 The dense-operator references of P and J live here too: L(lambda), J(lambda)
 and their expectations by the literal formulas, the ordering average as a
@@ -68,24 +68,55 @@ def _initial_cdf(state: QuantumState, beable_set: BeableSet):
     return tuples, np.cumsum(probs / probs.sum())
 
 
-def _draw_lambda(tuples: list, cum: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One raw lambda vector: a cell tuple from ``cum``, then uniform offsets."""
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
-    idx = min(idx, len(tuples) - 1)
-    cells = np.array(tuples[idx], dtype=float)
-    return cells + rng.uniform(-0.5, 0.5, size=cells.size)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
-def sample_initial(state: QuantumState, beable_set: BeableSet,
-                   rng_seed: int) -> LambdaConfig:
+def _hash(key: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """splitmix64's output for the state key + (x + 1) * golden, on uint64
+    arrays, wrapping modulo 2**64."""
+    z = key + (x + np.uint64(1)) * _GOLDEN
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _uniforms(seed, indices, n_draws: int) -> np.ndarray:
+    """Counter-based uniforms on [0, 1) with 53 bits, (len(indices),
+    n_draws): draw k of index i is a hash of (seed, i, k), so each index has
+    its own stream, whatever other indices are drawn with it. seed is an int
+    or a tuple of ints, folded into one key a part at a time."""
+    parts = (seed if isinstance(seed, tuple) else (seed,))
+    parts = np.array([int(part) % 2**64 for part in parts], dtype=np.uint64)
+    key = np.zeros(1, dtype=np.uint64)
+    for j in range(parts.size):
+        key = _hash(key, parts[j:j + 1])
+    streams = _hash(key, np.asarray(indices, dtype=np.uint64))[:, None]
+    bits = _hash(streams, np.arange(n_draws, dtype=np.uint64))
+    return (bits >> np.uint64(11)) * 2.0 ** -53
+
+
+def _draw_starts(tuples: list, cum: np.ndarray, seed, indices) -> np.ndarray:
+    """Raw lambda vectors (len(indices), L), one per index from its own
+    stream (_uniforms): draw 0 picks a cell tuple from ``cum``, draws 1..L
+    place each lambda uniformly in its cell [n - 1/2, n + 1/2)."""
+    table = np.array(tuples, dtype=float)
+    u = _uniforms(seed, indices, 1 + table.shape[1])
+    cells = table[np.minimum(np.searchsorted(cum, u[:, 0], side="right"), len(tuples) - 1)]
+    # n + (u - 1/2) can round up onto n + 1/2, outside the cell
+    return np.minimum(cells + (u[:, 1:] - 0.5), np.nextafter(cells + 0.5, cells))
+
+
+def sample_initial(state: QuantumState, beable_set: BeableSet, rng_seed) -> LambdaConfig:
     """Draw one initial lambda configuration.
 
     The cell tuple comes from the exact joint distribution (enumerated over
     all tuples, so beable correlations are respected), then each lambda is
-    uniform on its cell [n - 1/2, n + 1/2). Deterministic for a given seed.
+    uniform on its cell [n - 1/2, n + 1/2). Deterministic for a given seed,
+    an int or a tuple of ints: the start an ensemble of that seed draws for
+    index 0.
     """
-    return LambdaConfig(_draw_lambda(*_initial_cdf(state, beable_set),
-                                     np.random.default_rng(rng_seed)), beable_set)
+    start = _draw_starts(*_initial_cdf(state, beable_set), rng_seed, range(1))[0]
+    return LambdaConfig(start, beable_set)
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +451,13 @@ def _run_chunk(field: VelocityField, state0: QuantumState, times: np.ndarray,
 
     Every trajectory draws its start from the cell tuples and cumulative
     distribution ``cum`` of state0, computed once per ensemble, with its own
-    stream (seed, index). The whole block is integrated in lockstep by
-    _integrate_block, whose rows do not depend on each other, so the counts
-    do not depend on how an ensemble is split into blocks. The histogram
+    stream (seed, index); the block draws them in one call (_draw_starts).
+    The whole block is integrated in lockstep by _integrate_block, whose
+    rows do not depend on each other, so the counts do not depend on how an
+    ensemble is split into blocks. The histogram
     counts the cells the integrator recorded for each completed row."""
     n_b = len(field.beable_set)
-    starts = np.array([_draw_lambda(tuples, cum, np.random.default_rng((seed, i)))
-                       for i in indices]).reshape(len(indices), n_b)
+    starts = _draw_starts(tuples, cum, seed, indices)
     done = [traj.cells for traj in _integrate_block(field, state0, starts, times, rtol, atol)
             if traj.status is TrajectoryStatus.COMPLETED]
     cells = np.array(done, dtype=np.intp).reshape(-1, times.size, n_b)

@@ -254,6 +254,43 @@ class TestVerify:
             assert all(c["status"] == "pass" for c in checks), checks
 
 
+class TestInProcessCalls:
+    """main builds its parser once per process; each call parses into a new
+    namespace, so nothing one call sets reaches the next."""
+
+    def test_the_parser_is_built_once(self, tmp_path, capsys):
+        import beable_sim.cli as cli
+
+        cfg = write_config(tmp_path, {"preset": "two-state-rabi"})
+        cli._parser.cache_clear()
+        for _ in range(3):
+            assert main(["verify", "--config", cfg, "--json"]) == 0
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_strict_does_not_leak_into_the_next_call(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"preset": "two-state-rabi"})
+
+        def thresholds(*flags):
+            assert main(["verify", "--config", cfg, "--json", *flags]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            return payload["strict"], {c["name"]: c["threshold"] for c in payload["checks"]}
+        default = thresholds()
+        strict = thresholds("--strict")
+        assert default[0] is False and strict[0] is True and strict[1] != default[1]
+        assert thresholds() == default
+
+    def test_lambda0_does_not_leak_into_the_next_simulate(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"preset": "two-state-rabi"})
+
+        def manifest(*flags):
+            out = tmp_path / f"run{len(flags)}"
+            assert main(["simulate", "--config", cfg, "--out", str(out), *flags]) == 0
+            return json.loads((out / "manifest.json").read_text())
+        assert manifest("--lambda0", "1.2")["seed"] is None
+        assert manifest()["seed"] is not None
+
+
 class TestConfigCommand:
     def test_expands_preset(self, capsys):
         assert main(["config", "two-state-rabi"]) == 0

@@ -19,7 +19,7 @@ from beable_sim.checks import PASS, run_checks
 from beable_sim.config import build_model, matrix_to_pairs, parse_config, vector_to_pairs
 from beable_sim.dynamics import DEFAULT_RTOL, _integrate_block, _integrate_on_grid
 from beable_sim.errors import BeableSimError
-from beable_sim.verification import _draw_lambda, _initial_cdf
+from beable_sim.verification import _draw_starts, _initial_cdf
 
 SEEDS = range(3001, 3021)
 TIMES = np.array([1.0, 2.0, 3.0])
@@ -74,9 +74,7 @@ def test_fuzz_model(seed):
     except BeableSimError:
         return      # a typed error
     field, state0, bset = model.field, model.state0, model.beable_set
-    tuples, cum = _initial_cdf(state0, bset)
-    starts = np.array([_draw_lambda(tuples, cum, np.random.default_rng((seed, i)))
-                       for i in range(10)])
+    starts = _draw_starts(*_initial_cdf(state0, bset), seed, range(10))
 
     scalar = [outcome(lambda: _integrate_on_grid(field, state0, lam, TIMES, **TOL))
               for lam in starts]

@@ -10,7 +10,7 @@ import beable_sim.verification as verification
 from beable_sim.config import build_model, parse_config
 from beable_sim.dynamics import _integrate_block
 from beable_sim.errors import InputError, NumericError
-from beable_sim.verification import _draw_lambda, _initial_cdf, _resolve_workers
+from beable_sim.verification import _draw_starts, _initial_cdf, _resolve_workers, _uniforms
 
 from conftest import (SZ, build_with_defect, multinomial_tv_bound, random_hermitian,
                       random_state)
@@ -56,30 +56,94 @@ class TestSampleInitial:
             assert cells in {(0, 0), (1, 1)}
 
 
-def reference_draw(state, bset, rng):
-    """The per-trajectory draw, distribution recomputed on every call."""
+MASK64 = 2 ** 64 - 1
+
+
+def splitmix64(key, x):
+    """splitmix64's output for the state key + (x + 1) * golden, in Python
+    integers."""
+    z = (key + (x + 1) * 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def reference_uniform(seed, index, draw):
+    """Draw `draw` of stream `index`: the seed's parts folded into a key,
+    then one hash for the stream and one for the draw, top 53 bits."""
+    key = 0
+    for part in (seed if isinstance(seed, tuple) else (seed,)):
+        key = splitmix64(key, part)
+    return (splitmix64(splitmix64(key, index), draw) >> 11) / 2.0 ** 53
+
+
+def reference_draw(state, bset, seed, index):
+    """The draw of one index, distribution recomputed on every call."""
     tuples, probs = bs.quantum_distribution(state, bset)
     probs = np.clip(probs, 0.0, None)
     cum = np.cumsum(probs / probs.sum())
-    idx = min(int(np.searchsorted(cum, rng.random(), side="right")), len(tuples) - 1)
-    cells = np.array(tuples[idx], dtype=float)
-    return cells + rng.uniform(-0.5, 0.5, size=len(bset))
+    u = [reference_uniform(seed, index, k) for k in range(len(bset) + 1)]
+    idx = min(int(np.searchsorted(cum, u[0], side="right")), len(tuples) - 1)
+    return np.array([n + (x - 0.5) for n, x in zip(tuples[idx], u[1:])])
 
 
 class TestSharedInitialDistribution:
     def test_precomputed_distribution_draws_bit_identically(self):
+        # one call for 100 indices, one call per index and the reference
+        # agree bit for bit, and sample_initial draws index 0
         m = build_model(parse_config({"preset": "two-qubit"}))
         state = bs.evolve(m.state0, m.propagator, 2.0)   # every tuple above 0.1
         initial = _initial_cdf(state, m.beable_set)
         seen = set()
-        for seed in (0, 17):
+        for seed in (0, 17, (5, 201, 3)):
+            block = _draw_starts(*initial, seed, range(100))
             for i in range(100):
-                shared = _draw_lambda(*initial, np.random.default_rng((seed, i)))
-                own = bs.sample_initial(state, m.beable_set, (seed, i))
-                ref = reference_draw(state, m.beable_set, np.random.default_rng((seed, i)))
-                assert shared.tobytes() == own.values.tobytes() == ref.tobytes()
+                alone = _draw_starts(*initial, seed, [i])[0]
+                ref = reference_draw(state, m.beable_set, seed, i)
+                assert block[i].tobytes() == alone.tobytes() == ref.tobytes()
                 seen.add(tuple(np.floor(ref + 0.5).astype(int)))
+            own = bs.sample_initial(state, m.beable_set, seed)
+            assert own.values.tobytes() == block[0].tobytes()
         assert len(seen) == 4
+
+
+class TestStartStreams:
+    """Counter-based uniforms: a splitmix64 hash of (seed, index, draw)."""
+
+    def test_the_hash_is_splitmix64(self):
+        # splitmix64 seeded with 0 first outputs 0xE220A8397B1DCDAF
+        assert splitmix64(0, 0) == 0xE220A8397B1DCDAF
+        assert int(verification._hash(np.zeros(1, dtype=np.uint64),
+                                      np.zeros(1, dtype=np.uint64))[0]) == 0xE220A8397B1DCDAF
+        u = _uniforms((7, 3), [0, 5, 2 ** 40], 4)
+        want = [[reference_uniform((7, 3), i, k) for k in range(4)] for i in (0, 5, 2 ** 40)]
+        assert u.tolist() == want
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2 ** 31 - 1])
+    def test_draws_are_uniform(self, seed):
+        # 20000 x 6 draws in 50 bins: chi-square against its 1e-4 quantile
+        # (about 1.6 times the 49 degrees of freedom), per draw column and
+        # pooled; and every draw is a multiple of 2^-53 in [0, 1)
+        u = _uniforms(seed, range(20000), 6)
+        assert u.min() >= 0.0 and u.max() < 1.0
+        assert np.array_equal(u * 2.0 ** 53, np.floor(u * 2.0 ** 53))
+        for column in (*u.T, u.ravel()):
+            counts = np.bincount((column * 50).astype(int), minlength=50)
+            expected = column.size / 50
+            assert ((counts - expected) ** 2 / expected).sum() < 93.0
+        assert abs(u.mean() - 0.5) < 4.0 * np.sqrt(1 / 12 / u.size)
+
+    @pytest.mark.parametrize("seed", [0, 3, 99])
+    def test_adjacent_indices_and_draws_are_uncorrelated(self, seed):
+        # the correlation of n pairs has standard deviation 1 / sqrt(n);
+        # adjacent indices, adjacent draws and adjacent seeds stay within 4 of it
+        n = 20000
+        u = _uniforms(seed, range(n + 1), 3)
+        other = _uniforms(seed + 1, range(n), 1)[:, 0]
+        pairs = [(u[:-1, k], u[1:, k]) for k in range(3)]
+        pairs += [(u[:, 0], u[:, 1]), (u[:, 1], u[:, 2]), (u[:-1, 0], other)]
+        for a, b in pairs:
+            assert abs(np.corrcoef(a, b)[0, 1]) < 4.0 / np.sqrt(a.size)
 
 
 class TestTwoStateSolution:
@@ -312,9 +376,7 @@ class TestEnsembleEquivariance:
         m = build_model(cfg)
         rep = bs.ensemble_equivariance(m.field, m.state0, 100, cfg.run.times, seed=12,
                                        rtol=1e-7, atol=1e-9, workers=1)
-        tuples, cum = _initial_cdf(m.state0, m.beable_set)
-        starts = np.array([_draw_lambda(tuples, cum, np.random.default_rng((12, i)))
-                           for i in range(100)])
+        starts = _draw_starts(*_initial_cdf(m.state0, m.beable_set), 12, range(100))
         recount = np.zeros_like(rep.empirical)
         for traj in _integrate_block(m.field, m.state0, starts, rep.times, 1e-7, 1e-9):
             if traj.status is not bs.TrajectoryStatus.COMPLETED:
