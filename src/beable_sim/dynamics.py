@@ -43,14 +43,27 @@ crossing to CROSSING_TOL in lambda by three rules:
    components are snapped onto their boundaries and step into the next
    cell. Escaping through a domain end raises NumericError.
 
-Accepted aimed and retried steps leave the controller's step size
-unchanged; a rejected one shrinks it like any rejected step.
+Both integrators advance in passes. A pass starts at (t, y, cells) with
+the controller's step size h and plans up to _PASS_STEPS steps of size h,
+each clamped to the next record time (a pass runs on past record times and
+records at the end of each clamped step), so that one evaluation of the
+forms serves all of them. Its steps are taken in order, each the step
+above with the rules above, and the pass ends at its first event: rule 1
+aiming or crossing in place from the step's carried first stage, a node
+row at the floor, an error rejection, or an escape (rules 2 and 3 then
+apply to that step). The steps before the event are accepted and the rest
+are dropped. Then h changes once: a rejection shrinks it from the rejected
+step's error norm; otherwise the largest norm among the pass's accepted
+steps of size h that no record time clamped sets the factor. An aimed or
+retried step is a pass of one step: accepted, it leaves h unchanged;
+rejected, it shrinks h like any rejected step. A pass depends only on its
+own trajectory, and MAX_STEPS counts steps, not passes.
 
 A step holds its cells and the state advances by known phases, so the
 forms that P and J are made of depend on neither lambda nor the trajectory
-and are known at all six nodes of a step before it starts. The
-one-trajectory integrator takes them from one stacked product per step;
-the ensemble block reads them from per-tuple Chebyshev tables in time (see
+and are known at all nodes of a pass before it starts. The one-trajectory
+integrator takes them from one stacked product per pass; the ensemble
+block reads them from per-tuple Chebyshev tables in time (see
 tables.FormTables), which differ from the direct forms only by roundoff.
 The forms are real: a tuple's operators are checked for Hermiticity once,
 when they are built (VelocityField._tuple_ops). Either way the six node
@@ -417,14 +430,14 @@ _RADAU_W = (0.10079419262674041, 0.20845066715595387, 0.2604633915947875,
             0.24269359423448497, 0.15982037661025547, 0.027777777777777776)
 _RADAU_ERR = (-0.037420088359264254, 0.12001642862179815, -0.19952147953524024,
               0.24269359423448497, -0.22422407101560066, 0.09845561605382204)
-# a step's forms are taken at t + _STAGE_C h; a step that needs a fresh first
-# stage takes it at t + 0 h = t in the same call, at the times t + _FRESH_C h
+# a step's forms are taken at t + _STAGE_C h
 _STAGE_C = np.array(_RADAU_C)
-_FRESH_C = np.array((0.0,) + _RADAU_C)
-# rows per table evaluation in an ensemble block: its temporaries grow as
-# rows x 6 x (2L + 1), which the largest blocks would otherwise hold all at
-# once
-_FORMS_ROWS = 256
+# the steps of one size per pass, whose forms come from one evaluation
+_PASS_STEPS = 4
+# node rows per table evaluation in an ensemble block (those of 256 one-step
+# rows): its temporaries grow as node rows x (2L + 1), which the largest
+# blocks would otherwise hold all at once
+_FORMS_ROWS = 1536
 
 
 def _float_step(field: VelocityField, vals: np.ndarray, cells: tuple, t: float,
@@ -503,23 +516,36 @@ def _node_rates(forms: np.ndarray, shift: np.ndarray):
 
 
 def _block_step(forms: np.ndarray, shift: np.ndarray, y: np.ndarray, h: np.ndarray):
-    """_float_step for m rows: forms (6, m, 2L + 1) at the six nodes of each
-    row's step, lambda shifts and y (m, L) and steps h (m, 1). Returns the
-    solutions, error estimates and last-node f(t + h, y_new), each (m, L);
-    an overflowed exponential leaves inf or NaN in a row's solution and
-    error.
+    """_float_step for a pass of up to k consecutive steps of m rows: steps
+    h (m, k), 0 after a row's last step, lambda shifts and starts y (m, L),
+    and forms (6, p, 2L + 1) at the six nodes of the p nonzero steps of h in
+    row-major order. Step j of a row starts from the solution of its step
+    j - 1. Returns the solutions, error estimates and last-node
+    f(t + h, y_new) of the p steps, each (p, L): with one step per row,
+    h (m, 1), those of row i in row i. An overflowed exponential leaves inf
+    or NaN in a step's solution and error, and in the steps after it.
 
     Every operation is elementwise, and each quadrature sums its node terms
     in node order with one array operation per node, never through BLAS,
     whose bits can depend on the shape of the call: a row's result does
     not depend on the other rows, and it is _float_step's to the bit but
-    for the exponential."""
-    a, b = _node_rates(forms, shift)
-    g = h * a
+    for the exponential. The parts that do not depend on y (exp(A_6), the
+    b-quadratures, the error rates and the last node's rates) are computed
+    for all p steps at once; then y is composed step by step with the
+    arithmetic of one step, so each step's bits are those of a call for
+    that step alone (a test checks this)."""
+    m, k = h.shape
+    n_b = y.shape[1]
+    flat = h.ravel()
+    pair = np.flatnonzero(flat)
+    h_p = flat[pair][:, None]
     # rows: the five tails, then w and d; the b sums need w and d
     sums_g = np.array(_RADAU_TAIL + (_RADAU_W, _RADAU_ERR))[:, :, None, None]
     sums_q = sums_g[5:]
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a step past a row's node (P at the floor, even 0) is computed, not used
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a, b = _node_rates(forms, shift[pair // k])
+        g = h_p * a
         acc = sums_g[:, 0] * g[0]
         for j in range(1, 6):
             acc = acc + sums_g[:, j] * g[j]
@@ -528,9 +554,17 @@ def _block_step(forms: np.ndarray, shift: np.ndarray, y: np.ndarray, h: np.ndarr
         for j in range(1, 5):
             quad = quad + sums_q[:, j] * q[j]
         quad = quad + sums_q[:, 5] * b[5]
-        y_new = np.exp(acc[5]) * y + h * quad[0]
-        err = y_new * acc[6] + h * quad[1]
-        return y_new, err, a[5] * y_new + b[5]
+        # y_new = exp(A_6) y + h quad; a step not taken keeps y (1 y + 0)
+        stacked = np.ones((2, m * k, n_b))
+        stacked[1] = 0.0
+        stacked[0, pair], stacked[1, pair] = np.exp(acc[5]), h_p * quad[0]
+        stacked = stacked.reshape(2, m, k, n_b)
+        y_new = np.empty((m, k, n_b))
+        for j in range(k):
+            y = stacked[0, :, j] * y + stacked[1, :, j]
+            y_new[:, j] = y
+        y_new = y_new.reshape(-1, n_b)[pair]
+        return y_new, y_new * acc[6] + h_p * quad[1], a[5] * y_new + b[5]
 
 
 def _forms_at(field: VelocityField, coeff0: np.ndarray, m_e: np.ndarray, t0: float,
@@ -542,10 +576,10 @@ def _forms_at(field: VelocityField, coeff0: np.ndarray, m_e: np.ndarray, t0: flo
 
 
 def _stage_nodes(field: VelocityField, p: np.ndarray):
-    """The node floor on the node rows of a step, for m rows at once: p
-    (S, m) holds P at the S node times. Returns each row's first node at
-    the floor (S if none), as one velocities call per node over the rows
-    still live would find it, or None when no row meets the floor."""
+    """The node floor on the node rows of m steps at once: p (S, m) holds
+    P at the S node times of each step. Returns each step's first node at
+    the floor (S if none), as one velocities call per node over the steps
+    still live would find it, or None when no step meets the floor."""
     if p.min() > field.node_floor:
         return None
     node = p <= field.node_floor
@@ -719,6 +753,38 @@ def _start(t0: float, lam0: np.ndarray, cells: np.ndarray, record_times):
     return record_times, rec, rec_cells, rec_i, sgn
 
 
+def _plan(t: float, h_try: float, clamped: bool, h: float, targets: list, rec_i: int,
+          sgn: float, n_steps: int) -> list:
+    """The steps of one pass in Python floats, as (start, step, clamped, end):
+    the first of size h_try (clamped to its record time if clamped), then up
+    to n_steps - 1 more of size h, each clamped to the next record time as
+    the first is. Planning stops after the last record time and before a
+    record time numerically at a step's start. _integrate_block plans each
+    row's pass with the same arithmetic on arrays."""
+    plan = []
+    for j in range(n_steps):
+        if j:
+            if rec_i == len(targets):
+                break
+            h_try = h
+            clamped = (t + h - targets[rec_i]) * sgn >= 0.0
+            if clamped:
+                h_try = targets[rec_i] - t
+                if abs(h_try) < 1e-15 * max(1.0, abs(t)):
+                    break
+        end = targets[rec_i] if clamped else t + h_try
+        plan.append((t, h_try, clamped, end))
+        t = end
+        rec_i += clamped
+    return plan
+
+
+def _pass_times(plan: list) -> np.ndarray:
+    """The node times t + c h of every step of a pass, step by step."""
+    steps = np.array(plan)
+    return (steps[:, :1] + _STAGE_C * steps[:, 1:2]).ravel()
+
+
 def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
                        record_times, rtol: float, atol: float) -> Trajectory:
     """Drive d lambda/dt = v through the cells, recording at record_times.
@@ -731,6 +797,17 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
     first stage and the error estimate are lists of Python floats, and a
     step, its node floor included, is float arithmetic on them
     (_float_step); numpy computes only the forms.
+
+    The trajectory advances in passes (see the module docstring): up to
+    _PASS_STEPS steps of the controller's size h, each clamped to the next
+    record time, whose node forms (and a fresh first stage when one is
+    needed) come from one _forms_at call. The pass ends at its first event:
+    rule 1 aiming or crossing in place from a step's carried first stage, a
+    node, a rejection or an escape. The steps before it are accepted, and h
+    then adapts once, from the largest error norm of the pass's accepted
+    unclamped steps of size h; a rejection shrinks it from the rejected
+    step's norm. An aimed or retried step is a pass of its own and leaves h
+    unchanged. MAX_STEPS counts steps.
     """
     beable_set = field.beable_set
     n_cells = beable_set.cell_counts
@@ -758,63 +835,84 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
 
         steps = 0
         while rec_i < n_rec:
-            steps += 1
-            if steps > MAX_STEPS:
-                raise NumericError(f"integration exceeded {MAX_STEPS} steps")
             target = targets[rec_i]
             h_try = h if retry is None else retry
-            retry = None
             clamped = (t + h_try - target) * sgn >= 0.0
             if clamped:
                 h_try = target - t
                 if abs(h_try) < 1e-15 * max(1.0, abs(t)):
                     # target is numerically at t; record and move on
+                    steps += 1
                     rec[rec_i], rec_cells[rec_i] = y, cells
                     rec_i += 1
+                    retry = None
                     continue
-            ahead = None
+            plan = _plan(t, h_try, clamped, h, targets, rec_i, sgn,
+                         _PASS_STEPS if retry is None else 1)
+            retry = None
+            vals = None
             if f_now is None:
-                # the fresh first stage and the node forms of a step of h_try
-                # from one call; the step uses the latter if it keeps h_try
-                vals, shift = _forms_at(field, coeff0, m_e, t0, cells, t + _FRESH_C * h_try)
+                # the fresh first stage and the node forms of the pass from
+                # one call; the pass uses the latter unless rule 1 aims
+                vals, shift = _forms_at(field, coeff0, m_e, t0, cells,
+                                        np.concatenate(([t], _pass_times(plan))))
                 f_now = field._velocities_of(vals[0], y, shift, cells, t).tolist()
-                ahead = vals[1:]
+                vals = vals[1:]
             h_aim, now = _aim(h_try, y, f_now, cells, n_cells, 1e-14 * max(1.0, abs(t)))
             if now:
+                steps += 1
                 y, cells = _cross(y, cells, now, n_cells, t)
                 f_now = None
                 continue
             if h_aim is not None and abs(h_aim) < abs(h_try):
-                h_try, clamped, ahead = h_aim, False, None
-            if ahead is None:
-                ahead = _forms_at(field, coeff0, m_e, t0, cells, t + _STAGE_C * h_try)[0]
+                plan, vals = [(t, h_aim, False, t + h_aim)], None
+            if vals is None:
+                vals = _forms_at(field, coeff0, m_e, t0, cells, _pass_times(plan))[0]
 
-            y_new, err, k_last = _float_step(field, ahead, cells, t, y, h_try)
-            ratio = [e / (atol + rtol * max(abs(a), abs(b))) for e, a, b in zip(err, y, y_new)]
-            enorm = math.sqrt(sum([r * r for r in ratio]) / n_b)
-            # a non-finite y_new makes its error non-finite, and a NaN or
-            # infinite error norm rejects the step with the smallest factor
-            if not enorm <= 1.0:
-                h = h_try * (max(0.2, 0.9 * enorm ** -0.2) if enorm < math.inf else 0.2)
-                if abs(h) < 1e-14 * max(1.0, abs(t)):
-                    raise NumericError(
-                        f"step size underflow at t = {t:.12g} (h = {h:.3e})"
-                    )
-                continue
-            esc = _escapes(y_new, cells)
-            retry = _retry_step(y, y_new, f_now, k_last, h_try, esc)
-            if retry is not None:
-                continue
+            h_pass, worst = h, None
+            for j, (t_j, h_j, clamped_j, end) in enumerate(plan):
+                if j:
+                    # rule 1 from the carried first stage ends the pass
+                    h_aim, now = _aim(h_j, y, f_now, cells, n_cells,
+                                      1e-14 * max(1.0, abs(t_j)))
+                    if now or (h_aim is not None and abs(h_aim) < abs(h_j)):
+                        break
+                steps += 1
+                if steps > MAX_STEPS:
+                    raise NumericError(f"integration exceeded {MAX_STEPS} steps")
+                y_new, err, k_last = _float_step(field, vals[6 * j:6 * j + 6], cells, t_j, y,
+                                                 h_j)
+                ratio = [e / (atol + rtol * max(abs(a), abs(b)))
+                         for e, a, b in zip(err, y, y_new)]
+                enorm = math.sqrt(sum([r * r for r in ratio]) / n_b)
+                # a non-finite y_new makes its error non-finite, and a NaN or
+                # infinite error norm rejects the step with the smallest factor
+                if not enorm <= 1.0:
+                    h = h_j * (max(0.2, 0.9 * enorm ** -0.2) if enorm < math.inf else 0.2)
+                    if abs(h) < 1e-14 * max(1.0, abs(t)):
+                        raise NumericError(
+                            f"step size underflow at t = {t:.12g} (h = {h:.3e})"
+                        )
+                    worst = None
+                    break
+                esc = _escapes(y_new, cells)
+                retry = _retry_step(y, y_new, f_now, k_last, h_j, esc)
+                if retry is not None:
+                    break
 
-            t = target if clamped else t + h_try
-            y, cells = _cross(y_new, cells, esc, n_cells, t) if esc else (y_new, cells)
-            f_now = None if esc else k_last
-            if clamped:
-                rec[rec_i], rec_cells[rec_i] = y, cells
-                rec_i += 1
-            elif h_try == h:
-                # only a step of the controller's own size adapts it
-                h = h_try * (5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2)))
+                t = end
+                y, cells = _cross(y_new, cells, esc, n_cells, t) if esc else (y_new, cells)
+                f_now = None if esc else k_last
+                if clamped_j:
+                    rec[rec_i], rec_cells[rec_i] = y, cells
+                    rec_i += 1
+                elif h_j == h_pass and (worst is None or enorm > worst):
+                    # only a step of the controller's own size adapts it
+                    worst = enorm
+                if esc:
+                    break
+            if worst is not None:
+                h = h_pass * (5.0 if worst == 0.0 else min(5.0, max(0.2, 0.9 * worst ** -0.2)))
     except NodeError as node:
         return _record(beable_set, record_times, rec, rec_cells, rec_i,
                        TrajectoryStatus.NODE_ABORTED, node.time, node.cells)
@@ -826,10 +924,12 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
     """_integrate_on_grid for every row of lam0 (n, L) at once; returns one
     Trajectory per row.
 
-    Rows advance in lockstep, each with its own t, step, cells and status,
-    under the same rules: the exponential Radau step, error norm, accept and
-    reject factors, first step, clamping to record times, MAX_STEPS, the
-    underflow check and the three crossing rules of the module docstring.
+    Rows advance in lockstep, one pass per row and iteration, each with its
+    own t, step, cells and status, under the same rules: the pass rule, the
+    exponential Radau step, error norm, accept and reject factors (h adapts
+    once per pass), first step, clamping to record times, MAX_STEPS (which
+    counts steps: an iteration counts its longest pass), the underflow
+    check and the three crossing rules of the module docstring.
     (1) A row whose linear prediction reaches an interior boundary within
     its trial step aims the step CROSSING_TOL / 2 past it, or crosses in
     place when already within CROSSING_TOL or when the aimed step would
@@ -837,13 +937,15 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
     more than CROSSING_TOL is retried, shortened to the first contact of its
     Hermite interpolant. (3) One that escapes by at most CROSSING_TOL is
     accepted and snapped into the next cell. Crossing rows stay in the
-    block. Each lockstep iteration reads the forms of every stepping row at
-    its six nodes from the Chebyshev tables of FormTables over [t0, last
-    record time] (one vectorised evaluation per _FORMS_ROWS rows), checks
-    the six node rows against the node floor once in node order
+    block. Each lockstep iteration plans every stepping row's pass (the
+    arithmetic of _plan on arrays), reads the forms at the six nodes of all
+    planned steps from the Chebyshev tables of FormTables over [t0, last
+    record time] in one evaluation (chunked per _FORMS_ROWS node rows),
+    checks each step's six node rows against the node floor in node order
     (_stage_nodes: the node aborts and abort times of one velocities call per
-    node), drops the rows at a node and takes the step as array arithmetic
-    (_block_step).
+    node) and takes the planned steps as array arithmetic (_block_step: the
+    parts that do not depend on y for all of them, then y step by step).
+    Each row's events, in step order, end its pass as in _integrate_on_grid.
     A first stage that is not carried over from the last step is one
     stacked VelocityField.velocities call per tuple. The per-row rules
     (_escapes, _retry_step with its Hermite bisection, and _cross for rule
@@ -925,6 +1027,7 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
         return f, ok
 
     tables = FormTables(field, coeff0, t0, record_times[-1] if n_rec else t0)
+    stops = np.append(record_times, sgn * np.inf)
     t = np.full(n, t0)
     f = np.zeros_like(y)
     fresh = np.zeros(n, dtype=bool)
@@ -935,15 +1038,21 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
         f[rows], fresh[rows] = evaluate(rows, t[rows], y[rows])
         h[rows] = _first_step(f[rows], abs(record_times[-1] - t0), sgn)
 
+    n_forms = 2 * n_b + 1
+    n_pass = _PASS_STEPS
     steps = 0
     while running.any():
+        # MAX_STEPS counts steps: an iteration counts the longest pass it tried
         steps += 1
         if steps > MAX_STEPS:
             raise NumericError(f"integration exceeded {MAX_STEPS} steps")
         act = np.flatnonzero(running)
         ta = t[act]
         target = record_times[rec_i[act]]
-        h_try = np.where(np.isnan(retry[act]), h[act], retry[act])
+        h_try = retry[act]
+        # a retried step is a pass of its own
+        single = h_try == h_try
+        h_try = np.where(single, h_try, h[act])
         retry[act] = np.nan
         clamped = (ta + h_try - target) * sgn >= 0.0
         h_try = np.where(clamped, target - ta, h_try)
@@ -973,91 +1082,186 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
         hit = aim < np.abs(h_try)
         h_try = np.where(hit, sgn * aim, h_try)
         clamped &= ~hit
-        go &= ~now.any(axis=1)
-        act, ta, target, h_try, clamped = (a[go] for a in (act, ta, target, h_try, clamped))
+        # an aimed step is a pass of its own
+        single |= hit
+        go[sel] = False
+        act, ta, target, h_try, clamped, single = (
+            a[go] for a in (act, ta, target, h_try, clamped, single))
         if not act.size:
             continue
 
-        # the forms at the six nodes of every stepping row, from the tables
-        # (per _FORMS_ROWS rows), and their node floor in node order
-        frozen = cells[act]
-        stage_t = ta[:, None] + _STAGE_C * h_try[:, None]
-        rows, x = tables.locate(code[act], stage_t)
-        rows, x = rows.T, x.T                   # (6, rows): node-major
-        forms = np.empty((_STAGE_C.size, act.size, 2 * n_b + 1))
-        for lo in range(0, act.size, _FORMS_ROWS):
-            pos = slice(lo, lo + _FORMS_ROWS)
-            forms[:, pos] = tables.evaluate(rows[:, pos].ravel(), x[:, pos].ravel()).reshape(
-                _STAGE_C.size, -1, forms.shape[2])
-        p_stage = forms[..., 0]
-        first = _stage_nodes(field, p_stage)
-        if first is not None:
-            live = first == _STAGE_C.size
-            for pos in np.flatnonzero(~live).tolist():
-                at_node = int(first[pos])
-                abort(int(act[pos]), NodeError(frozen[pos], p_stage[at_node, pos],
-                                               stage_t[pos, at_node]))
-            act, ta, target, h_try, clamped, frozen = (
-                a[live] for a in (act, ta, target, h_try, clamped, frozen))
-            forms = forms[:, live]
-            if not act.size:
-                continue
+        # each row's pass, as _plan plans it: the end of each of up to
+        # n_pass steps and the index of the record time after it; stops
+        # holds the record times and, past the last, one no step reaches
+        # (e >= tgt is _plan's (e - tgt) sgn >= 0 for sgn = 1)
+        m = act.size
+        h_row = h[act]
+        end = np.empty((m, n_pass))
+        after = np.empty((m, n_pass), dtype=np.intp)
+        t_j = end[:, 0] = np.where(clamped, target, ta + h_try)
+        r_j = after[:, 0] = rec_i[act] + clamped
+        for j in range(1, n_pass):
+            tgt = stops[r_j]
+            e = t_j + h_row
+            c = e >= tgt if sgn > 0 else e <= tgt
+            t_j = end[:, j] = np.where(c, tgt, e)
+            r_j = after[:, j] = r_j + c
+        # a row plans no step after its last record time, none after an
+        # aimed or retried step and none from a record time numerically at
+        # a later step's start on
+        valid = np.empty((m, n_pass), dtype=bool)
+        valid[:, 0] = True
+        valid[:, 1:] = after[:, :-1] < n_rec
+        valid[single, 1:] = False
+        later_clamp = after[:, 1:] != after[:, :-1]
+        if later_clamp.any():
+            start = end[:, :-1]
+            at = later_clamp & (np.abs(end[:, 1:] - start)
+                                < 1e-15 * np.maximum(1.0, np.abs(start)))
+            if at.any():
+                valid[:, 1:] &= ~np.logical_or.accumulate(at, axis=1)
 
-        # the quadrature step, as array arithmetic on the live rows
+        # the p planned steps in row-major order, a row's from off on: their
+        # start, step, end and clamp, the forms at their six nodes from one
+        # table evaluation (per _FORMS_ROWS node rows), and the node floor
+        # in node order
+        pair = np.flatnonzero(valid)
+        p_row, p_col = np.divmod(pair, n_pass)
+        off = np.flatnonzero(p_col == 0)
+        n_steps = np.diff(np.append(off, pair.size))
+        p_end = end.ravel()[pair]
+        p_start = np.empty(pair.size)
+        p_start[1:] = p_end[:-1]
+        p_start[off] = ta
+        p_clamp = np.empty(pair.size, dtype=bool)
+        p_after = after.ravel()[pair]
+        p_clamp[1:] = p_after[1:] != p_after[:-1]
+        p_clamp[off] = clamped
+        p_step = np.where(p_clamp, p_end - p_start, h_row[p_row])
+        p_step[off] = h_try
+        frozen = cells[act]
+        p_cells = frozen[p_row]
+        node_t = p_start[:, None] + _STAGE_C * p_step[:, None]
+        rows, x = tables.locate(code[act][p_row], node_t)
+        rows, x = rows.T.ravel(), x.T.ravel()                       # node-major
+        found = np.concatenate([tables.evaluate(rows[lo:lo + _FORMS_ROWS], x[lo:lo + _FORMS_ROWS])
+                                for lo in range(0, rows.size, _FORMS_ROWS)])
+        found = found.reshape(_STAGE_C.size, -1, n_forms)
+        first = _stage_nodes(field, found[..., 0])
+
+        # the steps, as array arithmetic, and their events: rule 1 from a
+        # later step's carried first stage, a node, a rejection or an escape
         ya = y[act]
-        y_new, err, f_last = _block_step(forms, 0.5 - frozen, ya, h_try[:, None])
-        scale = atol + rtol * np.maximum(np.abs(ya), np.abs(y_new))
-        with np.errstate(invalid="ignore"):
+        step = np.zeros((m, n_pass))
+        step.ravel()[pair] = p_step
+        y_new, err, f_last = _block_step(found, 0.5 - frozen, ya, step)
+        y_prev = np.empty_like(y_new)
+        y_prev[1:] = y_new[:-1]
+        y_prev[off] = ya
+        scale = atol + rtol * np.maximum(np.abs(y_prev), np.abs(y_new))
+        with np.errstate(over="ignore", invalid="ignore"):
             ratio = err / scale
             enorm = np.sqrt((ratio * ratio).sum(axis=1) / n_b)
-
         # a non-finite y_new makes its error non-finite, and a NaN or
         # infinite error norm rejects the step with the smallest factor
         rejected = ~(enorm <= 1.0)
-        if rejected.any():
-            bad = enorm[rejected]
-            with np.errstate(invalid="ignore"):
-                h_new = h_try[rejected] * np.where(
-                    bad < np.inf, np.maximum(0.2, 0.9 * bad ** -0.2), 0.2)
-            tiny = np.flatnonzero(
-                np.abs(h_new) < 1e-14 * np.maximum(1.0, np.abs(ta[rejected])))
-            if tiny.size:
-                raise NumericError(
-                    f"step size underflow at t = {ta[rejected][tiny[0]]:.12g} "
-                    f"(h = {h_new[tiny[0]]:.3e})"
-                )
-            h[act[rejected]] = h_new
+        excess = np.maximum(y_new - (p_cells + 0.5), (p_cells - 0.5) - y_new).max(axis=1)
+        stop = rejected | (excess > 0.0)
+        if first is not None:
+            stop |= first < _STAGE_C.size
+        aims = np.zeros(pair.size, dtype=bool)
+        later = np.flatnonzero(p_col)
+        if later.size:
+            h_later = p_step[later]
+            aim, now, _ = _aim_rows(h_later, y_prev[later], f_last[later - 1], p_cells[later],
+                                    n_cells, 1e-14 * np.maximum(1.0, np.abs(p_start[later])))
+            aims[later] = now.any(axis=1) | (aim < np.abs(h_later))
+            stop |= aims
+        # each row's first event, in step order, ends its pass
+        last = np.minimum.reduceat(np.where(stop, p_col, n_pass), off)
+        ended = last < n_pass
+        ev = off + np.minimum(last, n_steps - 1)
+        event = ended & ~aims[ev]
+        at_node = event & (first[ev] < _STAGE_C.size) if first is not None else \
+            np.zeros(m, dtype=bool)
+        event &= ~at_node
+        bad = event & rejected[ev]
+        event &= ~bad
+        far = event & (excess[ev] > CROSSING_TOL)
+        snap = event & ~far
+        n_acc = np.where(ended, last, n_steps) + snap
+        steps += int((n_acc + (at_node | bad | far)).max()) - 1
 
-        accepted = ~rejected
-        excess = np.maximum(y_new - (frozen + 0.5), (frozen - 0.5) - y_new).max(axis=1)
-        sel = np.flatnonzero(accepted & (excess > CROSSING_TOL))
-        for row, y0, y1, f0, f1, h_row, cells_row in zip(
-                act[sel].tolist(), ya[sel].tolist(), y_new[sel].tolist(), f[act[sel]].tolist(),
-                f_last[sel].tolist(), h_try[sel].tolist(), frozen[sel].tolist()):
-            retry[row] = _retry_step(y0, y1, f0, f1, h_row, _escapes(y1, cells_row))
-        moved = accepted & (excess <= CROSSING_TOL)
-        rows = act[moved]
-        t[rows] = np.where(clamped[moved], target[moved], ta[moved] + h_try[moved])
-        y[rows] = y_new[moved]
-        # the last node's f(t + h, y_new) in the old cells; cross() clears it
-        # for a row that crossed
-        f[rows] = f_last[moved]
+        # rule 2: the retried step of an escape by more than CROSSING_TOL,
+        # from the first stage the escaping step started with
+        sel = np.flatnonzero(far)
+        if sel.size:
+            e = ev[sel]
+            f0 = np.where((p_col[e] == 0)[:, None], f[act[sel]], f_last[e - 1])
+            for row, y0, y1, f0_row, f1, h_e, cells_row in zip(
+                    act[sel].tolist(), y_prev[e].tolist(), y_new[e].tolist(), f0.tolist(),
+                    f_last[e].tolist(), p_step[e].tolist(), frozen[sel].tolist()):
+                retry[row] = _retry_step(y0, y1, f0_row, f1, h_e, _escapes(y1, cells_row))
+
+        # the accepted steps: the row moves to the end of its last one, whose
+        # last node's f(t + h, y_new) in the old cells starts the next pass
+        # (cross() clears it for a row that crossed), and records at the
+        # end of each clamped one
+        sel = np.flatnonzero(n_acc)
+        e = off[sel] + n_acc[sel] - 1
+        rows = act[sel]
+        t[rows] = p_end[e]
+        y[rows] = y_new[e]
+        f[rows] = f_last[e]
         fresh[rows] = True
-        sel = np.flatnonzero(moved & (excess > 0.0))
-        for row, y1, cells_row, when in zip(act[sel].tolist(), y_new[sel].tolist(),
+        sel = np.flatnonzero(snap)
+        for row, y1, cells_row, when in zip(act[sel].tolist(), y_new[ev[sel]].tolist(),
                                             frozen[sel].tolist(), t[act[sel]].tolist()):
             cross(row, y1, cells_row, _escapes(y1, cells_row), when)
+        took = p_col < n_acc[p_row]
+        done = np.flatnonzero(took & p_clamp)
+        if done.size:
+            d_row = p_row[done]
+            rows = act[d_row]
+            # the records of a row in step order; a snapped last step
+            # records the crossed row
+            slot = rec_i[rows] + np.arange(done.size) - np.searchsorted(d_row, d_row)
+            final = (p_col[done] == n_acc[d_row] - 1)[:, None]
+            rec[rows, slot] = np.where(final, y[rows], y_new[done])
+            rec_cells[rows, slot] = np.where(final, cells[rows], frozen[d_row])
+            rec_i[act] += np.bincount(d_row, minlength=m)
+            running[act] = rec_i[act] < n_rec
+        for sel in np.flatnonzero(at_node).tolist():
+            e = int(ev[sel])
+            node = int(first[e])
+            abort(int(act[sel]), NodeError(frozen[sel], found[node, e, 0], node_t[e, node]))
 
-        rows = act[moved & clamped]
-        rec[rows, rec_i[rows]] = y[rows]
-        rec_cells[rows, rec_i[rows]] = cells[rows]
-        rec_i[rows] += 1
-        running[rows] = rec_i[rows] < n_rec
-        # only a step of the controller's own size adapts it
-        pos = np.flatnonzero(moved & ~clamped & (h_try == h[act]))
-        with np.errstate(divide="ignore"):
-            grow = np.minimum(5.0, np.maximum(0.2, 0.9 * enorm[pos] ** -0.2))
-        h[act[pos]] = h_try[pos] * np.where(enorm[pos] == 0.0, 5.0, grow)
+        # the step size adapts once per pass: a rejection shrinks it from the
+        # rejected step's norm; otherwise the largest norm of the accepted
+        # unclamped steps of the controller's own size grows or shrinks it
+        sel = np.flatnonzero(bad)
+        if sel.size:
+            e = ev[sel]
+            norm = enorm[e]
+            with np.errstate(invalid="ignore"):
+                h_new = p_step[e] * np.where(norm < np.inf, np.maximum(0.2, 0.9 * norm ** -0.2),
+                                             0.2)
+            tiny = np.flatnonzero(np.abs(h_new) < 1e-14 * np.maximum(1.0, np.abs(p_start[e])))
+            if tiny.size:
+                raise NumericError(
+                    f"step size underflow at t = {p_start[e][tiny[0]]:.12g} "
+                    f"(h = {h_new[tiny[0]]:.3e})"
+                )
+            h[act[sel]] = h_new
+        own = took & ~p_clamp & (p_step == h_row[p_row])
+        own[bad[p_row]] = False
+        worst = np.maximum.reduceat(np.where(own, enorm, -1.0), off)
+        sel = np.flatnonzero(worst >= 0.0)
+        if sel.size:
+            # a zero norm grows h by 5
+            with np.errstate(divide="ignore"):
+                grow = np.minimum(5.0, np.maximum(0.2, 0.9 * worst[sel] ** -0.2))
+            h[act[sel]] = h_row[sel] * grow
 
     return [_record(beable_set, record_times, rec[row], rec_cells[row], int(rec_i[row]),
                     status[row], *aborts[row])

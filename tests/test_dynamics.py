@@ -25,6 +25,9 @@ from beable_sim.dynamics import (
     _ordering_table,
     _ordering_weights,
     _output_grid,
+    _pass_times,
+    _PASS_STEPS,
+    _plan,
     _RADAU_C,
     _RADAU_ERR,
     _RADAU_TAIL,
@@ -747,8 +750,9 @@ class TestBlockIntegration:
             assert_rows_identical(sevens, whole)
 
     def test_rows_do_not_depend_on_the_forms_chunk(self, rng, monkeypatch):
-        # the stage-batched forms of a tuple's rows come in chunks of
-        # _FORMS_ROWS rows; chunks of 3 must give the rows of one chunk
+        # the node forms of a pass come from the tables in chunks of
+        # _FORMS_ROWS node rows; chunks of 3 node rows, and of one node row
+        # less than a row's whole pass, must give the rows of one chunk
         import beable_sim.dynamics as dyn
 
         for name, field, state0, times in block_models(rng):
@@ -756,10 +760,11 @@ class TestBlockIntegration:
                 continue
             starts = seeded_starts(field, state0, 50, seed=7)
             whole = _integrate_block(field, state0, starts, times, **BLOCK_TOL)
-            with monkeypatch.context() as patch:
-                patch.setattr(dyn, "_FORMS_ROWS", 3)
-                chunked = _integrate_block(field, state0, starts, times, **BLOCK_TOL)
-            assert_rows_identical(chunked, whole)
+            for chunk in (3, 6 * _PASS_STEPS - 1):
+                with monkeypatch.context() as patch:
+                    patch.setattr(dyn, "_FORMS_ROWS", chunk)
+                    chunked = _integrate_block(field, state0, starts, times, **BLOCK_TOL)
+                assert_rows_identical(chunked, whole)
 
     def test_rows_do_not_depend_on_dropped_tables(self, rng, monkeypatch):
         # number-operator's span holds 62 panels in 8 windows; with room for
@@ -1507,10 +1512,10 @@ class TestCarriedStage:
         first_stage_times = []
 
         def spy_forms_at(field, coeff0, m_e, t0, cells, times):
-            # a fresh first stage of the one-trajectory path shares its call
-            # with the forms at the step's six nodes
-            if times.size == dyn._FRESH_C.size:
-                first_stage_times.append(float(times[0]))
+            # a fresh first stage of the one-trajectory path leads the call
+            # of its pass's node forms, at the pass's start t; a call without
+            # one leads with the first node t + c_1 h, never a record time
+            first_stage_times.append(float(times[0]))
             return forms_at(field, coeff0, m_e, t0, cells, times)
 
         def spy_velocities(coeff, lam, cells, time):
@@ -1528,6 +1533,135 @@ class TestCarriedStage:
             assert np.array_equal(a.cells, b.cells), i
             np.testing.assert_allclose(a.lambdas, b.lambdas, rtol=0.0, atol=1e-12,
                                        err_msg=f"start {i}")
+
+
+class TestPasses:
+    """Both integrators take up to _PASS_STEPS steps of one size from one
+    evaluation of the forms. In a stretch without events a pass only
+    batches: its steps have the bits of single steps of the same size."""
+
+    def test_a_pass_of_float_steps_is_its_single_steps(self, rng):
+        for name, field, state0, _ in block_models(rng):
+            if name not in ("two-qubit", "random-l3"):
+                continue
+            coeff0 = field.state_coefficients(state0)
+            m_e = -1j * field._energies
+            lam = seeded_starts(field, state0, 1, seed=3)[0]
+            cells = tuple(bs.cell_index(b, v) for b, v in zip(field.beable_set, lam))
+            # a record time inside the pass clamps its third step
+            t, h = 0.3, 1e-3
+            plan = _plan(t, h, False, h, [t + 2.5 * h, 1.0], 0, 1.0, _PASS_STEPS)
+            assert [p[2] for p in plan] == [False, False, True, False]
+            assert len(plan) == _PASS_STEPS
+            times = _pass_times(plan)
+            vals = _forms_at(field, coeff0, m_e, state0.time, cells, times)[0]
+            y_pass = y_one = lam.tolist()
+            for j, (t_j, h_j, _, end) in enumerate(plan):
+                node_t = t_j + _STAGE_C * h_j
+                assert np.array_equal(times[6 * j:6 * j + 6], node_t)
+                got = _float_step(field, vals[6 * j:6 * j + 6], cells, t_j, y_pass, h_j)
+                one = _forms_at(field, coeff0, m_e, state0.time, cells, node_t)[0]
+                want = _float_step(field, one, cells, t_j, y_one, h_j)
+                assert got == want, (name, j)
+                y_pass, y_one = got[0], want[0]
+                # no event: the stretch stays in its cells
+                assert not _escapes(y_pass, cells), (name, j)
+
+    def test_a_block_pass_is_its_single_steps(self, rng):
+        # 9 rows with passes of 1 to 4 steps (0 after a row's last): each
+        # step of the pass has the bits of a one-step call on its rows
+        field = bs.VelocityField(*l3_commuting_model(rng)[:2])
+        n_b, m, k = field.n_beables, 9, _PASS_STEPS
+        n_steps = np.array([1, 4, 2, 4, 3, 1, 4, 4, 2])
+        h = rng.choice([-1.0, 1.0], size=(m, 1)) * 10.0 ** rng.uniform(-3.0, -1.0, size=(m, k))
+        h[np.arange(k) >= n_steps[:, None]] = 0.0
+        forms = rng.normal(size=(6, int(n_steps.sum()), 2 * n_b + 1))
+        forms[..., 0] = rng.uniform(0.2, 1.0, size=forms.shape[:2])
+        cells = np.array([[int(rng.integers(c)) for c in field.beable_set.cell_counts]
+                          for _ in range(m)])
+        shift = 0.5 - cells
+        y = cells + rng.uniform(-0.5, 0.5, size=(m, n_b))
+        got = _block_step(forms, shift, y, h)
+        off = np.cumsum(n_steps) - n_steps
+        for j in range(k):
+            rows = np.flatnonzero(n_steps > j)
+            want = _block_step(forms[:, off[rows] + j], shift[rows], y[rows], h[rows, j:j + 1])
+            for part_got, part_want in zip(got, want, strict=True):
+                assert np.array_equal(part_got[off[rows] + j], part_want), j
+            y[rows] = want[0]
+
+    @pytest.mark.parametrize("grid", ["dense", "backward"])
+    def test_the_block_plans_its_passes_as_the_scalar_path(self, grid):
+        # record times closer than a pass (several clamped steps in one pass)
+        # and a backward run: the block's passes end, record and adapt h as
+        # _integrate_on_grid's do
+        for name in ("two-qubit", "number-operator"):
+            cfg = parse_config({"preset": name})
+            m = build_model(cfg)
+            times = np.linspace(0.0, 2.0, 161) if grid == "dense" else \
+                np.array([-0.3, -0.9, -1.0, -2.5])
+            starts = seeded_starts(m.field, m.state0, 20, seed=13)
+            got = _integrate_block(m.field, m.state0, starts, times, **BLOCK_TOL)
+            for i, (a, lam) in enumerate(zip(got, starts)):
+                b = _integrate_on_grid(m.field, m.state0, lam, times, **BLOCK_TOL)
+                what = f"{name} {grid} start {i}"
+                assert a.status is b.status and a.abort_cells == b.abort_cells, what
+                assert np.array_equal(a.times, b.times), what
+                assert np.array_equal(a.cells, b.cells), what
+                np.testing.assert_allclose(a.lambdas, b.lambdas, rtol=0.0, atol=1e-12,
+                                           err_msg=what)
+
+    def test_a_trajectory_takes_its_forms_once_per_pass(self, monkeypatch):
+        # on a seeded two-qubit simulate trajectory at rtol 1e-9, one
+        # _forms_at call serves several _float_step calls; one call per step
+        # would fail this
+        import beable_sim.dynamics as dyn
+
+        cfg = parse_config({"preset": "two-qubit"})
+        m = build_model(cfg)
+        counts = {"forms": 0, "steps": 0}
+        forms_at, step = dyn._forms_at, dyn._float_step
+
+        def count_forms(*args):
+            counts["forms"] += 1
+            return forms_at(*args)
+
+        def count_steps(*args):
+            counts["steps"] += 1
+            return step(*args)
+
+        monkeypatch.setattr(dyn, "_forms_at", count_forms)
+        monkeypatch.setattr(dyn, "_float_step", count_steps)
+        lam = seeded_starts(m.field, m.state0, 1, seed=11)[0]
+        run = bs.integrate_trajectory(m.field, m.state0, lam, cfg.run.t_final,
+                                      cfg.run.output_dt, rtol=1e-9, atol=1e-11)
+        assert run.status is bs.TrajectoryStatus.COMPLETED
+        assert counts["steps"] > 50
+        assert counts["forms"] <= 0.6 * counts["steps"], counts
+
+    def test_a_block_evaluates_its_forms_once_per_pass(self, monkeypatch):
+        # a seeded 50-row two-qubit block evaluates each stepping row's
+        # forms once per pass: fewer row evaluations than the steps
+        # _block_step takes from them; one step per evaluation would fail
+        import beable_sim.dynamics as dyn
+
+        cfg = parse_config({"preset": "two-qubit"})
+        m = build_model(cfg)
+        counts = {"rows": 0, "steps": 0}
+        step = dyn._block_step
+
+        def count(forms, shift, y, h):
+            counts["rows"] += h.shape[0]
+            counts["steps"] += np.count_nonzero(h)
+            assert forms.shape[1] == np.count_nonzero(h)
+            return step(forms, shift, y, h)
+
+        monkeypatch.setattr(dyn, "_block_step", count)
+        starts = seeded_starts(m.field, m.state0, 50, seed=11)
+        runs = _integrate_block(m.field, m.state0, starts, np.array(cfg.run.times),
+                                **BLOCK_TOL)
+        assert all(r.status is bs.TrajectoryStatus.COMPLETED for r in runs)
+        assert counts["rows"] <= 0.6 * counts["steps"], counts
 
 
 class TestIntegrateTrajectory:
