@@ -59,6 +59,14 @@ retried step is a pass of one step: accepted, it leaves h unchanged;
 rejected, it shrinks h like any rejected step. A pass depends only on its
 own trajectory, and MAX_STEPS counts steps, not passes.
 
+Both integrators record by one rule, set up by _start: a record time equal
+to the start time, or to the record time before it, shares that time's
+sample, so equal record times give equal samples and a record time at the
+start returns the start without evaluating the field. Every other record
+time differs from the one before it and is reached by a step clamped to
+it, of nonzero length: no step has zero length, and no trajectory records
+without a step.
+
 A step holds its cells and the state advances by known phases, so the
 forms that P and J are made of depend on neither lambda nor the trajectory
 and are known at all nodes of a pass before it starts. The one-trajectory
@@ -95,6 +103,8 @@ from enum import Enum
 
 import numpy as np
 
+# nothing here calls cell_index; it stays a name of this module because the
+# benchmark's tracer (bench/run.py) wraps dynamics.cell_index
 from .beables import BeableSet, LambdaConfig, cell_index, check_lambda_domain
 from .errors import InputError, NodeError, NumericError
 from .linalg import Propagator, QuantumState
@@ -610,16 +620,23 @@ class Trajectory:
         return self.lambdas[-1]
 
 
-def _record(beable_set: BeableSet, record_times, lambdas, cells, n_recorded: int,
-            status: TrajectoryStatus, abort_time=None, abort_cells=None) -> Trajectory:
-    """The Trajectory of the first n_recorded samples of record buffers."""
-    cells = cells[:n_recorded]
+def _trajectories(beable_set: BeableSet, record_times: np.ndarray, slots: np.ndarray,
+                  rec: np.ndarray, rec_cells: np.ndarray, rec_i, status: list,
+                  aborts: list) -> list:
+    """One Trajectory per row of the slot buffers (n, n_slots, L) of _start,
+    row i holding its first rec_i[i] slots: the buffers are expanded to the
+    record times by one indexing step for all rows, and each row keeps the
+    record times whose slot it reached. aborts holds each row's (abort_time,
+    abort_cells)."""
+    lambdas, cells = rec[:, slots], rec_cells[:, slots]
     xis = np.empty(cells.shape)
     for ell, b in enumerate(beable_set):
-        xis[:, ell] = b.eigenvalues[cells[:, ell]]
-    return Trajectory(times=record_times[:n_recorded], lambdas=lambdas[:n_recorded],
-                      cells=cells, xis=xis, status=status,
-                      abort_time=abort_time, abort_cells=abort_cells)
+        xis[..., ell] = b.eigenvalues[cells[..., ell]]
+    return [Trajectory(times=record_times[:k], lambdas=lambdas[row, :k], cells=cells[row, :k],
+                       xis=xis[row, :k], status=status[row], abort_time=abort[0],
+                       abort_cells=abort[1])
+            for row, (k, abort) in enumerate(zip(np.searchsorted(slots, rec_i).tolist(),
+                                                 aborts))]
 
 
 def _escapes(y, cells):
@@ -735,22 +752,28 @@ def _first_step(f, span: float, sgn: float):
     return sgn * np.maximum(h0, 1e-12)
 
 
-def _start(t0: float, lam0: np.ndarray, cells: np.ndarray, record_times):
-    """Shared set-up of both integrators for starts lam0 (n, L) in cells
-    (n, L): the lambda and cell record buffers (n, n_rec, L) with the
-    leading time recorded if it equals t0, the number recorded and the
-    direction."""
+def _start(t0: float, lam0: np.ndarray, n_cells: tuple, record_times):
+    """Shared set-up of both integrators for starts lam0 (n, L) in the
+    half-open domains of beables with n_cells cells, by the record rule of
+    the module docstring: a record time equal to t0, or to the record time
+    before it, shares that time's buffer slot. Returns the record times
+    (n_rec,), the slot of each (nondecreasing), the slot times (n_slots,),
+    t0 first and each different from the one before, the lambda and cell
+    buffers (n, n_slots, L) with the starts in slot 0, the starts' cells
+    (n, L) and the direction. _trajectories expands the buffers back to the
+    record times."""
     record_times = np.asarray(record_times, dtype=float)
-    n_rec = record_times.size
-    rec = np.empty((lam0.shape[0], n_rec, lam0.shape[1]))
-    rec_cells = np.empty(rec.shape, dtype=np.intp)
-    rec_i = 0
-    if n_rec and record_times[0] == t0:
-        rec[:, 0] = lam0
-        rec_cells[:, 0] = cells
-        rec_i = 1
-    sgn = -1.0 if n_rec and record_times[-1] < t0 else 1.0
-    return record_times, rec, rec_cells, rec_i, sgn
+    new = np.diff(record_times, prepend=t0) != 0.0
+    slot_times = np.concatenate(([t0], record_times[new]))
+    # cell_index's nearest cell: lam0 + 1/2 rounds up to n_cells only for a
+    # one-cell beable's lam0 = 1/2 - 2^-54
+    cells = np.minimum(np.floor(lam0 + 0.5), np.subtract(n_cells, 1)).astype(np.intp)
+    rec = np.empty((lam0.shape[0], slot_times.size, lam0.shape[1]))
+    # unrecorded cell slots stay 0, a valid cell for the expansion's lookup
+    rec_cells = np.zeros(rec.shape, dtype=np.intp)
+    rec[:, 0], rec_cells[:, 0] = lam0, cells
+    sgn = -1.0 if slot_times[-1] < t0 else 1.0
+    return record_times, np.cumsum(new), slot_times, rec, rec_cells, cells, sgn
 
 
 def _plan(t: float, h_try: float, clamped: bool, h: float, targets: list, rec_i: int,
@@ -758,20 +781,17 @@ def _plan(t: float, h_try: float, clamped: bool, h: float, targets: list, rec_i:
     """The steps of one pass in Python floats, as (start, step, clamped, end):
     the first of size h_try (clamped to its record time if clamped), then up
     to n_steps - 1 more of size h, each clamped to the next record time as
-    the first is. Planning stops after the last record time and before a
-    record time numerically at a step's start. _integrate_block plans each
+    the first is. targets are _start's slot times, distinct from one to the
+    next (the record rule), so every planned step has a nonzero length.
+    Planning stops after the last record time. _integrate_block plans each
     row's pass with the same arithmetic on arrays."""
     plan = []
     for j in range(n_steps):
         if j:
             if rec_i == len(targets):
                 break
-            h_try = h
             clamped = (t + h - targets[rec_i]) * sgn >= 0.0
-            if clamped:
-                h_try = targets[rec_i] - t
-                if abs(h_try) < 1e-15 * max(1.0, abs(t)):
-                    break
+            h_try = targets[rec_i] - t if clamped else h
         end = targets[rec_i] if clamped else t + h_try
         plan.append((t, h_try, clamped, end))
         t = end
@@ -790,13 +810,14 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
     """Drive d lambda/dt = v through the cells, recording at record_times.
 
     record_times must be monotone away from state0.time (either direction)
-    and start at or beyond it; a leading time equal to state0.time records
-    the initial configuration. Cell crossings follow the three rules of the
-    module docstring. The one-trajectory path of `simulate`, `verify` and
-    integrate_trajectory, and the oracle for _integrate_block. Lambda, the
-    first stage and the error estimate are lists of Python floats, and a
-    step, its node floor included, is float arithmetic on them
-    (_float_step); numpy computes only the forms.
+    and start at or beyond it. By the record rule of _start, a time equal to
+    state0.time records the initial configuration, equal times share one
+    sample, and every step has a nonzero length. Cell crossings follow the
+    three rules of the module docstring. The one-trajectory path of
+    `simulate`, `verify` and integrate_trajectory, and the oracle for
+    _integrate_block. Lambda, the first stage and the error estimate are
+    lists of Python floats, and a step, its node floor included, is float
+    arithmetic on them (_float_step); numpy computes only the forms.
 
     The trajectory advances in passes (see the module docstring): up to
     _PASS_STEPS steps of the controller's size h, each clamped to the next
@@ -816,17 +837,21 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
     n_b = len(beable_set)
     coeff0 = field.state_coefficients(state0)
     m_e = -1j * field._energies
-    cells = tuple(cell_index(b, lam) for b, lam in zip(beable_set, y.tolist()))
-    record_times, rec, rec_cells, rec_i, sgn = _start(t0, y[None], np.array([cells]),
-                                                      record_times)
-    rec, rec_cells = rec[0], rec_cells[0]
-    targets = record_times.tolist()
-    n_rec = len(targets)
-    if rec_i >= n_rec:
-        return _record(beable_set, record_times, rec, rec_cells, rec_i,
-                       TrajectoryStatus.COMPLETED)
+    record_times, slots, slot_times, rec, rec_cells, cells, sgn = _start(t0, y[None], n_cells,
+                                                                         record_times)
+    cells = tuple(cells[0].tolist())
+    targets = slot_times.tolist()
+    n_slots = len(targets)
+
+    def result(rec_i, status=TrajectoryStatus.COMPLETED, abort=(None, None)):
+        return _trajectories(beable_set, record_times, slots, rec, rec_cells, [rec_i],
+                             [status], [abort])[0]
+
+    if n_slots == 1:
+        return result(1)
 
     t = t0
+    rec_i = 1
     retry = None
     try:
         f_now = field.velocities(coeff0 * np.exp(m_e * (t - t0)), y, cells, t).tolist()
@@ -834,19 +859,11 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
         y = y.tolist()
 
         steps = 0
-        while rec_i < n_rec:
-            target = targets[rec_i]
+        while rec_i < n_slots:
             h_try = h if retry is None else retry
-            clamped = (t + h_try - target) * sgn >= 0.0
+            clamped = (t + h_try - targets[rec_i]) * sgn >= 0.0
             if clamped:
-                h_try = target - t
-                if abs(h_try) < 1e-15 * max(1.0, abs(t)):
-                    # target is numerically at t; record and move on
-                    steps += 1
-                    rec[rec_i], rec_cells[rec_i] = y, cells
-                    rec_i += 1
-                    retry = None
-                    continue
+                h_try = targets[rec_i] - t
             plan = _plan(t, h_try, clamped, h, targets, rec_i, sgn,
                          _PASS_STEPS if retry is None else 1)
             retry = None
@@ -904,7 +921,7 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
                 y, cells = _cross(y_new, cells, esc, n_cells, t) if esc else (y_new, cells)
                 f_now = None if esc else k_last
                 if clamped_j:
-                    rec[rec_i], rec_cells[rec_i] = y, cells
+                    rec[0, rec_i], rec_cells[0, rec_i] = y, cells
                     rec_i += 1
                 elif h_j == h_pass and (worst is None or enorm > worst):
                     # only a step of the controller's own size adapts it
@@ -914,15 +931,15 @@ def _integrate_on_grid(field: VelocityField, state0: QuantumState, lambda0,
             if worst is not None:
                 h = h_pass * (5.0 if worst == 0.0 else min(5.0, max(0.2, 0.9 * worst ** -0.2)))
     except NodeError as node:
-        return _record(beable_set, record_times, rec, rec_cells, rec_i,
-                       TrajectoryStatus.NODE_ABORTED, node.time, node.cells)
-    return _record(beable_set, record_times, rec, rec_cells, rec_i, TrajectoryStatus.COMPLETED)
+        return result(rec_i, TrajectoryStatus.NODE_ABORTED, (node.time, node.cells))
+    return result(rec_i)
 
 
 def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
                      record_times, rtol: float, atol: float) -> list:
     """_integrate_on_grid for every row of lam0 (n, L) at once; returns one
-    Trajectory per row.
+    Trajectory per row. Rows record by the record rule of _start: equal
+    record times share one sample, and no step has zero length.
 
     Rows advance in lockstep, one pass per row and iteration, each with its
     own t, step, cells and status, under the same rules: the pass rule, the
@@ -966,21 +983,20 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
     if y.ndim != 2 or y.shape[1] != n_b:
         raise InputError(f"starts must have shape (n, {n_b}), got {y.shape}")
     check_lambda_domain(y, beable_set)
-    # cell_index's nearest cell, which the half-open domain keeps below the top
-    cells = np.floor(y + 0.5).astype(np.intp)
     n = y.shape[0]
     t0 = state0.time
     coeff0 = field.state_coefficients(state0)
     m_e = -1j * field._energies
-    record_times, rec, rec_cells, rec_start, sgn = _start(t0, y, cells, record_times)
-    n_rec = record_times.size
+    record_times, slots, slot_times, rec, rec_cells, cells, sgn = _start(t0, y, n_cells,
+                                                                         record_times)
+    n_slots = slot_times.size
     # one row-major code per row's cells, for grouping
     radix = np.cumprod((1,) + n_cells[:0:-1])[::-1]
     code = cells @ radix
-    rec_i = np.full(n, rec_start)
+    rec_i = np.ones(n, dtype=np.intp)
     status = [TrajectoryStatus.COMPLETED] * n
     aborts = [(None, None)] * n
-    running = rec_i < n_rec
+    running = rec_i < n_slots
 
     def abort(row, node):
         status[row] = TrajectoryStatus.NODE_ABORTED
@@ -1026,8 +1042,8 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
             settle(f, ok, rows, pos, lambda p: field.velocities(coeff[p], ys[p], tup, ts[p]))
         return f, ok
 
-    tables = FormTables(field, coeff0, t0, record_times[-1] if n_rec else t0)
-    stops = np.append(record_times, sgn * np.inf)
+    tables = FormTables(field, coeff0, t0, slot_times[-1])
+    stops = np.append(slot_times, sgn * np.inf)
     t = np.full(n, t0)
     f = np.zeros_like(y)
     fresh = np.zeros(n, dtype=bool)
@@ -1036,7 +1052,7 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
     if running.any():
         rows = np.flatnonzero(running)
         f[rows], fresh[rows] = evaluate(rows, t[rows], y[rows])
-        h[rows] = _first_step(f[rows], abs(record_times[-1] - t0), sgn)
+        h[rows] = _first_step(f[rows], abs(slot_times[-1] - t0), sgn)
 
     n_forms = 2 * n_b + 1
     n_pass = _PASS_STEPS
@@ -1048,7 +1064,7 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
             raise NumericError(f"integration exceeded {MAX_STEPS} steps")
         act = np.flatnonzero(running)
         ta = t[act]
-        target = record_times[rec_i[act]]
+        target = slot_times[rec_i[act]]
         h_try = retry[act]
         # a retried step is a pass of its own
         single = h_try == h_try
@@ -1056,19 +1072,11 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
         retry[act] = np.nan
         clamped = (ta + h_try - target) * sgn >= 0.0
         h_try = np.where(clamped, target - ta, h_try)
-        # a target numerically at t is recorded without a step
-        at = clamped & (np.abs(h_try) < 1e-15 * np.maximum(1.0, np.abs(ta)))
-        if at.any():
-            rows = act[at]
-            rec[rows, rec_i[rows]] = y[rows]
-            rec_cells[rows, rec_i[rows]] = cells[rows]
-            rec_i[rows] += 1
-            running[rows] = rec_i[rows] < n_rec
-        stale = act[~at & ~fresh[act]]
+        stale = act[~fresh[act]]
         if stale.size:
             f[stale], fresh[stale] = evaluate(stale, t[stale], y[stale])
-        # rule 1 on the rows that step (stale f elsewhere is never used)
-        go = ~at & running[act]
+        # rule 1 on the rows that step: evaluate aborts a row at a node
+        go = running[act]
         aim, now, boundary = _aim_rows(h_try, y[act], f[act], cells[act], n_cells,
                                        1e-14 * np.maximum(1.0, np.abs(ta)))
         now &= go[:, None]
@@ -1106,20 +1114,12 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
             c = e >= tgt if sgn > 0 else e <= tgt
             t_j = end[:, j] = np.where(c, tgt, e)
             r_j = after[:, j] = r_j + c
-        # a row plans no step after its last record time, none after an
-        # aimed or retried step and none from a record time numerically at
-        # a later step's start on
+        # a row plans no step after its last record time and none after an
+        # aimed or retried step
         valid = np.empty((m, n_pass), dtype=bool)
         valid[:, 0] = True
-        valid[:, 1:] = after[:, :-1] < n_rec
+        valid[:, 1:] = after[:, :-1] < n_slots
         valid[single, 1:] = False
-        later_clamp = after[:, 1:] != after[:, :-1]
-        if later_clamp.any():
-            start = end[:, :-1]
-            at = later_clamp & (np.abs(end[:, 1:] - start)
-                                < 1e-15 * np.maximum(1.0, np.abs(start)))
-            if at.any():
-                valid[:, 1:] &= ~np.logical_or.accumulate(at, axis=1)
 
         # the p planned steps in row-major order, a row's from off on: their
         # start, step, end and clamp, the forms at their six nodes from one
@@ -1230,7 +1230,7 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
             rec[rows, slot] = np.where(final, y[rows], y_new[done])
             rec_cells[rows, slot] = np.where(final, cells[rows], frozen[d_row])
             rec_i[act] += np.bincount(d_row, minlength=m)
-            running[act] = rec_i[act] < n_rec
+            running[act] = rec_i[act] < n_slots
         for sel in np.flatnonzero(at_node).tolist():
             e = int(ev[sel])
             node = int(first[e])
@@ -1263,9 +1263,7 @@ def _integrate_block(field: VelocityField, state0: QuantumState, lam0,
                 grow = np.minimum(5.0, np.maximum(0.2, 0.9 * worst[sel] ** -0.2))
             h[act[sel]] = h_row[sel] * grow
 
-    return [_record(beable_set, record_times, rec[row], rec_cells[row], int(rec_i[row]),
-                    status[row], *aborts[row])
-            for row in range(n)]
+    return _trajectories(beable_set, record_times, slots, rec, rec_cells, rec_i, status, aborts)
 
 
 def _output_grid(t0: float, t_final: float, output_dt: float) -> np.ndarray:

@@ -143,6 +143,25 @@ class TestEnsemble:
         assert err.startswith("error:") and "BEABLE_SIM_THREADS must be at least 1" in err
         assert "Traceback" not in err
 
+    def test_probes_t_final_when_the_model_sets_no_times(self, tmp_path):
+        cfg = write_config(tmp_path, commuting_model())
+        out = tmp_path / "run"
+        assert main(["ensemble", "--config", cfg, "--workers", "1", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["times"] == [1.0]
+
+    def test_a_numeric_failure_exits_two_without_a_traceback(self, tmp_path, capsys):
+        # a probe time this far out needs more table panels per cell tuple
+        # than a block may hold, which raises NumericError
+        cfg = write_config(tmp_path, {"preset": "two-qubit"})
+        out = tmp_path / "run"
+        assert main(["ensemble", "--config", cfg, "--trajectories", "100", "--times", "1e9",
+                     "--workers", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and "too many to tabulate" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_long_format_table(self, tmp_path):
         cfg = write_config(tmp_path, {"preset": "two-state-rabi",
                                       "dynamics": {"rtol": 1e-7, "atol": 1e-9}})
@@ -300,6 +319,18 @@ class TestConfigCommand:
 
     def test_unknown_name_fails(self, capsys):
         assert main(["config", "not-a-preset"]) == 1
+
+    @pytest.mark.parametrize("payload", [{"preset": "two-qubit"}, commuting_model()],
+                             ids=["preset", "explicit"])
+    def test_a_file_expands_and_its_expansion_reproduces_itself(self, tmp_path, capsys,
+                                                               payload):
+        assert main(["config", write_config(tmp_path, payload)]) == 0
+        expanded = capsys.readouterr().out
+        assert json.loads(expanded)["schema_version"] == 1
+        again = tmp_path / "expanded.json"
+        again.write_text(expanded)
+        assert main(["config", str(again)]) == 0
+        assert capsys.readouterr().out == expanded
 
 
 def test_a_bad_option_value_exits_one_without_a_traceback(tmp_path, capsys):

@@ -400,7 +400,7 @@ class TestStackedEvaluation:
 
     @pytest.mark.parametrize("ell", [0, 2])
     def test_roundoff_in_the_forms_passes_far_outside_the_cell(self, rng, monkeypatch, ell):
-        # a DP45 stage input can lie 4e7 cells away; there u = 4e7 magnifies
+        # a lambda can lie 4e7 cells away from its cell; there u = 4e7 magnifies
         # an imaginary roundoff of 1e-15 in X_ell to 4e-8 in J_ell, beyond the
         # tolerance, but the operators themselves are Hermitian to roundoff
         bset, prop, state = l3_commuting_model(rng)
@@ -887,6 +887,30 @@ class TestBlockIntegration:
             _integrate_on_grid(rabi.field, rabi.state0, [1.2], [1.0], **BLOCK_TOL)
         with pytest.raises(NumericError, match="underflow"):
             _integrate_block(rabi.field, rabi.state0, [[0.9], [1.2]], [1.0], **BLOCK_TOL)
+
+    def test_the_step_limit_raises_on_both_paths(self, rabi, monkeypatch):
+        # MAX_STEPS counts steps: ten record times need at least ten, and a
+        # run that needs more than the limit raises instead of running on
+        import beable_sim.dynamics as dyn
+
+        monkeypatch.setattr(dyn, "MAX_STEPS", 3)
+        times = np.linspace(0.1, 1.0, 10)
+        with pytest.raises(NumericError, match="exceeded 3 steps"):
+            _integrate_on_grid(rabi.field, rabi.state0, [1.2], times, **BLOCK_TOL)
+        with pytest.raises(NumericError, match="exceeded 3 steps"):
+            _integrate_block(rabi.field, rabi.state0, [[0.9], [1.2]], times, **BLOCK_TOL)
+
+    def test_a_start_just_below_the_top_of_a_one_cell_beable(self, rabi):
+        # 1/2 - 2^-54 + 1/2 rounds to 1: the start's cell is still cell 0
+        ident = bs.from_hermitian(bs.Operator(np.eye(2, dtype=complex), hermitian=True),
+                                  label="one")
+        field = bs.VelocityField(bs.validate_commuting_set([ident]), rabi.propagator)
+        lam = 0.5 - 2.0 ** -54
+        runs = [_integrate_on_grid(field, rabi.state0, [lam], [1.0], **BLOCK_TOL),
+                *_integrate_block(field, rabi.state0, [[lam]], [1.0], **BLOCK_TOL)]
+        for run in runs:
+            assert run.status is bs.TrajectoryStatus.COMPLETED
+            assert np.array_equal(run.cells, [[0]])
 
     def test_starts_must_be_a_stack(self, rabi):
         with pytest.raises(InputError, match="shape"):
@@ -1662,6 +1686,91 @@ class TestPasses:
                                 **BLOCK_TOL)
         assert all(r.status is bs.TrajectoryStatus.COMPLETED for r in runs)
         assert counts["rows"] <= 0.6 * counts["steps"], counts
+
+
+class TestRecordRule:
+    """Both integrators record by one rule (_start): a record time equal to
+    the start time, or to the record time before it, shares that sample, so
+    every step has a nonzero length. These tests pin the behaviour on both
+    paths."""
+
+    GRIDS = {
+        "repeated": lambda t0: [1.0, 1.0, 2.0],
+        "repeated-start": lambda t0: [t0, t0, 1.0],
+        "one-ulp": lambda t0: [1.0, math.nextafter(1.0, 2.0), 2.0],
+    }
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    def test_both_paths_record_alike_and_never_step_zero(self, grid, monkeypatch):
+        import beable_sim.dynamics as dyn
+
+        float_step, block_step = dyn._float_step, dyn._block_step
+
+        def spy_float_step(field, vals, cells, t, y, h):
+            assert h != 0.0
+            return float_step(field, vals, cells, t, y, h)
+
+        def spy_block_step(forms, shift, y, h):
+            # a planned step of zero length would bring its node forms with
+            # a 0 in h, where _block_step reads "no step"
+            assert forms.shape[1] == np.count_nonzero(h)
+            return block_step(forms, shift, y, h)
+
+        monkeypatch.setattr(dyn, "_float_step", spy_float_step)
+        monkeypatch.setattr(dyn, "_block_step", spy_block_step)
+        for name in ("two-qubit", "number-operator"):
+            m = build_model(parse_config({"preset": name}))
+            t0 = m.state0.time
+            times = np.array(self.GRIDS[grid](t0))
+            starts = seeded_starts(m.field, m.state0, 20, seed=5)
+            block = _integrate_block(m.field, m.state0, starts, times, **BLOCK_TOL)
+            scalar = [_integrate_on_grid(m.field, m.state0, lam, times, **BLOCK_TOL)
+                      for lam in starts]
+            for i, (a, b) in enumerate(zip(block, scalar, strict=True)):
+                what = f"{name} {grid} start {i}"
+                assert a.status is b.status and a.abort_cells == b.abort_cells, what
+                assert np.array_equal(a.times, b.times), what
+                assert np.array_equal(a.cells, b.cells), what
+                np.testing.assert_allclose(a.lambdas, b.lambdas, rtol=0.0, atol=1e-12,
+                                           err_msg=what)
+                for run in (a, b):
+                    if run.times.size and run.times[0] == t0:
+                        assert np.array_equal(run.lambdas[0], starts[i]), what
+                    # equal record times give equal samples
+                    for k in np.flatnonzero(np.diff(run.times) == 0.0):
+                        assert np.array_equal(run.lambdas[k], run.lambdas[k + 1]), what
+                        assert np.array_equal(run.cells[k], run.cells[k + 1]), what
+                if grid == "one-ulp" and a.status is bs.TrajectoryStatus.COMPLETED:
+                    # the one-ulp step is taken and moves lambda by next to nothing
+                    assert a.times.size == 3, what
+                    assert np.abs(a.lambdas[1] - a.lambdas[0]).max() <= 1e-12, what
+
+    def test_a_grid_at_the_start_returns_the_start_without_the_field(self, rabi,
+                                                                     monkeypatch):
+        # the start 0.2 lies in cell 0, where P = 0 in |up>: an evaluation of
+        # the field would abort it
+        def no_forms(*args):
+            raise AssertionError("the field was evaluated")
+
+        monkeypatch.setattr(rabi.field, "_forms", no_forms)
+        for times in ([0.0], [0.0, 0.0], [0.0, 0.0, 0.0]):
+            runs = [_integrate_on_grid(rabi.field, rabi.state0, [0.2], times, **BLOCK_TOL),
+                    *_integrate_block(rabi.field, rabi.state0, [[0.2], [1.2]], times,
+                                      **BLOCK_TOL)]
+            for run, lam in zip(runs, (0.2, 0.2, 1.2), strict=True):
+                assert run.status is bs.TrajectoryStatus.COMPLETED, times
+                assert np.array_equal(run.times, times)
+                assert np.array_equal(run.lambdas, np.full((len(times), 1), lam))
+                assert np.array_equal(run.cells, np.full((len(times), 1), round(lam)))
+
+    def test_repeated_probe_times_count_alike_at_any_worker_count(self):
+        m = build_model(parse_config({"preset": "two-qubit"}))
+        reports = [bs.ensemble_equivariance(m.field, m.state0, 100, [1.0, 1.0, 2.0], seed=5,
+                                            workers=workers, **BLOCK_TOL)
+                   for workers in (1, 2)]
+        assert reports[0].n_completed > 0
+        assert np.array_equal(reports[0].empirical, reports[1].empirical)
+        assert np.array_equal(reports[0].empirical[0], reports[0].empirical[1])
 
 
 class TestIntegrateTrajectory:

@@ -4,11 +4,11 @@ Each model is drawn as follows: dim 2-8 and L = 1-3; every beable diagonal
 in one shared Haar-random basis, with 2-3 distinct integer eigenvalues; a
 random Hermitian H scaled by U(0.2, 2); a random state; rtol 1e-7 and
 probe times 1, 2, 3. The block integrator must agree with the one-trajectory
-path (statuses, cells, and recorded lambdas to 1e-12), ensembles must not
-depend on the worker count, and every run must end in a completion, a typed
-error, or a node abort in a cell tuple whose joint projector is zero
-(rank 0), where P vanishes at every time. `verify` must pass reversibility
-on three models whose own rtol 1e-7 would fail it.
+path (statuses, cells, and recorded lambdas and abort times to 1e-12),
+ensembles must not depend on the worker count, and every run must end in a
+completion, a typed error, or a node abort in a cell tuple whose joint
+projector is zero (rank 0), where P vanishes at every time. `verify` must
+pass reversibility on three models whose own rtol 1e-7 would fail it.
 """
 
 import numpy as np
@@ -92,6 +92,7 @@ def test_fuzz_model(seed):
             np.testing.assert_allclose(a.lambdas, b.lambdas, rtol=0.0, atol=1e-12,
                                        err_msg=f"seed {seed} start {i}")
             if a.status is TrajectoryStatus.NODE_ABORTED:
+                assert abs(a.abort_time - b.abort_time) <= 1e-12, (seed, i)
                 assert rank_zero(bset, a.abort_cells), (seed, i, a.abort_cells)
 
     reports = [outcome(lambda: ensemble_equivariance(field, state0, 100, TIMES, seed=seed,
