@@ -8,6 +8,8 @@ Subcommands:
 Exit codes: 0 success, 1 validation error, 2 numeric/node failure,
 3 verification check failure. BEABLE_SIM_THREADS sets the ensemble
 worker count when --workers is absent (default: available parallelism).
+Every command runs with OpenBLAS at one thread (see
+verification._single_threaded_blas).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .config import (
 )
 from .dynamics import TrajectoryStatus, integrate_trajectory
 from .errors import ConfigError, InputError, NumericError
-from .verification import ensemble_equivariance, sample_initial
+from .verification import _single_threaded_blas, ensemble_equivariance, sample_initial
 
 
 def _float_list(text: str, what: str) -> list:
@@ -45,11 +47,13 @@ def _float_list(text: str, what: str) -> list:
     return values
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, columns):
+    """One row per entry of the columns (arrays, each 1-D or 2-D, of one
+    length, the first of floats), every value written as repr(float(v))."""
+    rows = np.column_stack(columns).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def cmd_simulate(args) -> int:
@@ -75,16 +79,12 @@ def cmd_simulate(args) -> int:
     header = (["t"]
               + [f"lambda_{ell}" for ell in range(n_b)]
               + [f"xi_{ell}" for ell in range(n_b)])
-    rows = (
-        [traj.times[k]] + list(traj.lambdas[k]) + list(traj.xis[k])
-        for k in range(traj.times.size)
-    )
     # the directory is made only once there is something to write, so a
     # rejected run leaves none behind
     os.makedirs(args.out, exist_ok=True)
     traj_path = os.path.join(args.out, "trajectory.csv")
-    _write_csv(traj_path, header, rows)
-    write_manifest(args.out, config, "simulate", seed_used, [traj_path])
+    _write_csv(traj_path, header, (traj.times, traj.lambdas, traj.xis))
+    write_manifest(args.out, config_hash(config), "simulate", seed_used, [traj_path])
 
     if traj.status is TrajectoryStatus.NODE_ABORTED:
         print(
@@ -118,11 +118,12 @@ def cmd_ensemble(args) -> int:
         atol=config.dynamics.atol, workers=args.workers,
     )
 
+    digest = config_hash(config)
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "report.json")
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "config_hash": config_hash(config),
+        "config_hash": digest,
         **report.as_dict(),
     }
     with open(report_path, "w", encoding="utf-8") as fh:
@@ -133,15 +134,15 @@ def cmd_ensemble(args) -> int:
     n_b = len(model.beable_set)
     header = (["time"] + [f"cell_{ell}" for ell in range(n_b)]
               + ["empirical_count", "empirical_probability", "quantum_probability"])
-    denom = max(report.n_completed, 1)
-    rows = []
-    for k, t in enumerate(report.times):
-        for j, cells in enumerate(report.cell_tuples):
-            rows.append([t, *cells, report.empirical[k, j],
-                         report.empirical[k, j] / denom, report.quantum[k, j]])
+    # one row per (time, cell tuple), times outermost
+    n_times, n_tuples = report.empirical.shape
+    counts = report.empirical.ravel()
+    columns = (np.repeat(report.times, n_tuples),
+               np.tile(np.asarray(report.cell_tuples), (n_times, 1)),
+               counts, counts / max(report.n_completed, 1), report.quantum.ravel())
     table_path = os.path.join(args.out, "distributions.csv")
-    _write_csv(table_path, header, rows)
-    write_manifest(args.out, config, "ensemble", config.run.seed,
+    _write_csv(table_path, header, columns)
+    write_manifest(args.out, digest, "ensemble", config.run.seed,
                    [report_path, table_path])
 
     # the TV distance is undefined at every time when no trajectory completed
@@ -240,7 +241,10 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # one BLAS thread per process, as in ensembles: the commands' GEMMs
+        # are small, and threads started on a busy core only wait for it
+        with _single_threaded_blas():
+            return args.func(args)
     except ConfigError as exc:
         print("configuration is invalid:", file=sys.stderr)
         for msg in exc.messages:

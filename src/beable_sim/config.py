@@ -69,12 +69,12 @@ def pairs_to_vector(obj, what: str) -> np.ndarray:
 
 
 def matrix_to_pairs(a: np.ndarray) -> list:
-    a = np.asarray(a, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    """Nested [re, im] pairs of a complex array, a matrix or a vector."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    return a.view(float).reshape(*a.shape, 2).tolist()
 
 
-def vector_to_pairs(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
+vector_to_pairs = matrix_to_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -247,19 +247,28 @@ def parse_config(raw: dict) -> ModelConfig:
 
 
 def load_config(path) -> ModelConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
     return parse_config(raw)
 
 
-def serialize_config(config: ModelConfig) -> dict:
-    """Canonical JSON-level form; parse(serialize(c)) reproduces c exactly."""
+def serialize_config(config: ModelConfig, array=matrix_to_pairs) -> dict:
+    """Canonical JSON-level form; parse(serialize(c)) reproduces c exactly.
+    Each complex array is given as array(a), called in the order H, each
+    beable matrix, the initial state."""
+    hamiltonian = array(config.hamiltonian)
     beables = []
     for spec in config.beables:
-        entry = {"label": spec.label, "matrix": matrix_to_pairs(spec.matrix)}
+        entry = {"label": spec.label, "matrix": array(spec.matrix)}
         if spec.ordering is not None:
             entry["ordering"] = list(spec.ordering)
         if spec.degeneracy_tol is not None:
@@ -268,18 +277,33 @@ def serialize_config(config: ModelConfig) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "dimension": config.dimension,
-        "hamiltonian": matrix_to_pairs(config.hamiltonian),
+        "hamiltonian": hamiltonian,
         "beables": beables,
-        "initial_state": vector_to_pairs(config.initial_state),
+        "initial_state": array(config.initial_state),
         "dynamics": asdict(config.dynamics),
         "run": {**asdict(config.run), "times": list(config.run.times)},
     }
 
 
 def config_hash(config: ModelConfig) -> str:
-    canonical = json.dumps(serialize_config(config), sort_keys=True,
+    """SHA-256 of serialize_config's canonical JSON (sorted keys, no
+    whitespace) with each complex array replaced by its shape, followed by
+    the arrays' little-endian complex128 bytes in serialization order: H,
+    each beable matrix, the initial state. It covers every field the
+    canonical form holds, so equal configs give equal digests, without
+    formatting the arrays as text."""
+    arrays = []
+
+    def shape(a):
+        arrays.append(np.ascontiguousarray(a, dtype="<c16"))
+        return list(arrays[-1].shape)
+
+    canonical = json.dumps(serialize_config(config, shape), sort_keys=True,
                            separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(canonical.encode("utf-8"))
+    for a in arrays:
+        digest.update(a.tobytes())
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +401,11 @@ def build_model(config: ModelConfig) -> BuiltModel:
 # ---------------------------------------------------------------------------
 # run manifests
 
-def write_manifest(out_dir, config: ModelConfig, command: str, seed,
-                   output_files) -> str:
-    """Record what a run produced; data files are hashed so reruns with the
-    same config hash and seed can be checked for bit-identical outputs."""
+def write_manifest(out_dir, digest: str, command: str, seed, output_files) -> str:
+    """Record what a run produced. digest is the run config's config_hash,
+    which the caller computes once per command and may also write into its
+    report; data files are hashed so reruns with the same config hash and
+    seed can be checked for bit-identical outputs."""
     import os
 
     outputs = []
@@ -396,7 +421,7 @@ def write_manifest(out_dir, config: ModelConfig, command: str, seed,
         "schema_version": SCHEMA_VERSION,
         "artifact_version": __version__,
         "command": command,
-        "config_hash": config_hash(config),
+        "config_hash": digest,
         "seed": seed,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": outputs,

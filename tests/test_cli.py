@@ -4,7 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+from beable_sim import cli, config, verification
 from beable_sim.cli import main
+from beable_sim.config import build_model, load_config
+from beable_sim.dynamics import integrate_trajectory
 
 
 def write_config(tmp_path, payload, name="model.json"):
@@ -389,4 +392,108 @@ def test_a_non_finite_number_exits_one(tmp_path, capsys, argv, override):
     assert err.startswith("error:") and "Traceback" not in err
     key = "--times" if override is None else next(iter(next(iter(override.values()))))
     assert key in err and "finite" in err
+    assert not out.exists()
+
+
+def csv_bytes(header, rows):
+    """The table written value by value, each as repr(float(v))."""
+    lines = [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in rows]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+class TestCsvBytes:
+    def test_a_seeded_trajectory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"preset": "two-qubit"})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+        model = build_model(load_config(cfg))
+        run, dyn = model.config.run, model.config.dynamics
+        traj = integrate_trajectory(
+            model.field, model.state0,
+            verification.sample_initial(model.state0, model.beable_set, 3),
+            t_final=run.t_final, output_dt=run.output_dt, rtol=dyn.rtol, atol=dyn.atol)
+        rows = [[t, *lam, *xi] for t, lam, xi in zip(traj.times, traj.lambdas, traj.xis)]
+        header = ["t", "lambda_0", "lambda_1", "xi_0", "xi_1"]
+        assert (out / "trajectory.csv").read_bytes() == csv_bytes(header, rows)
+
+    def test_an_ensemble_table(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"preset": "two-qubit"})
+        out = tmp_path / "run"
+        assert main(["ensemble", "--config", cfg, "--trajectories", "100", "--seed", "5",
+                     "--times", "1,2.5", "--workers", "1", "--out", str(out)]) == 0
+        model = build_model(load_config(cfg))
+        rep = verification.ensemble_equivariance(
+            model.field, model.state0, 100, [1.0, 2.5], seed=5,
+            rtol=model.config.dynamics.rtol, atol=model.config.dynamics.atol, workers=1)
+        rows = [[t, *cells, rep.empirical[k, j], rep.empirical[k, j] / rep.n_completed,
+                 rep.quantum[k, j]]
+                for k, t in enumerate(rep.times) for j, cells in enumerate(rep.cell_tuples)]
+        header = ["time", "cell_0", "cell_1", "empirical_count", "empirical_probability",
+                  "quantum_probability"]
+        assert (out / "distributions.csv").read_bytes() == csv_bytes(header, rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "{model}", "--seed", "3", "--out", "{out}"],
+    ["verify", "--config", "{model}", "--json"],
+    ["ensemble", "--config", "{model}", "--trajectories", "100", "--workers", "1",
+     "--out", "{out}"],
+], ids=["simulate", "verify", "ensemble"])
+def test_one_config_hash_per_command(tmp_path, capsys, monkeypatch, argv):
+    digests = []
+
+    def spy(cfg):
+        digests.append(real(cfg))
+        return digests[-1]
+
+    real = config.config_hash
+    monkeypatch.setattr(cli, "config_hash", spy)
+    monkeypatch.setattr(config, "config_hash", spy)
+    model, out = write_config(tmp_path, {"preset": "two-state-rabi"}), tmp_path / "out"
+    assert main([a.format(model=model, out=out) for a in argv]) == 0
+    assert len(digests) == 1
+    # the report, the manifest or the verify --json output carries that digest
+    recorded = ([json.loads(capsys.readouterr().out)] if argv[0] == "verify" else
+                [json.loads(p.read_text()) for p in sorted(out.glob("*.json"))])
+    assert [r["config_hash"] for r in recorded] == digests * len(recorded)
+
+
+@pytest.mark.parametrize("argv, body", [
+    (["simulate", "--config", "{model}", "--seed", "3", "--out", "{out}"], 0),
+    (["verify", "--config", "{model}"], 0),
+    (["simulate", "--config", "{model}", "--lambda0", "9", "--out", "{out}"], 1),
+    (["simulate", "--config", "{model}", "--lambda0", "0.2", "--out", "{out}"], 2),
+], ids=["exit-0", "verify-exit-0", "exit-1", "exit-2"])
+def test_every_command_runs_at_one_blas_thread(tmp_path, capsys, monkeypatch, argv, body):
+    threads = [2]                   # the caller's count
+    monkeypatch.setattr(verification, "_openblas_threads",
+                        lambda: (lambda: threads[-1], threads.append))
+    seen = []
+    real = cli.load_config
+    monkeypatch.setattr(cli, "load_config", lambda path: seen.append(threads[-1]) or real(path))
+    model = write_config(tmp_path, {"preset": "two-state-rabi"})
+    argv = [a.format(model=model, out=tmp_path / "out") for a in argv]
+    assert main(argv) == body
+    assert seen == [1]
+    assert threads[-1] == 2
+
+
+@pytest.mark.parametrize("argv, make", [
+    (["simulate", "--config", "{path}", "--out", "{out}"], None),
+    (["verify", "--config", "{path}"], "directory"),
+    (["config", "{path}"], "directory"),
+    (["simulate", "--config", "{path}", "--out", "{out}"], "utf-16"),
+    (["ensemble", "--config", "{path}", "--out", "{out}"], "utf-16"),
+], ids=["missing-file", "verify-directory", "config-directory", "simulate-not-utf8",
+        "ensemble-not-utf8"])
+def test_an_unreadable_config_exits_one(tmp_path, capsys, argv, make):
+    path, out = tmp_path / "model.json", tmp_path / "out"
+    if make == "directory":
+        path.mkdir()
+    elif make == "utf-16":
+        path.write_bytes(b"\xff\xfe" + json.dumps({"preset": "two-state-rabi"}).encode("utf-16-le"))
+    assert main([a.format(path=path, out=out) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(path) in err
     assert not out.exists()

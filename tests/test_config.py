@@ -1,4 +1,6 @@
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -7,9 +9,11 @@ from beable_sim.config import (
     build_model,
     config_hash,
     load_config,
+    matrix_to_pairs,
     parse_config,
     serialize_config,
     validate_model,
+    vector_to_pairs,
 )
 from beable_sim.errors import ConfigError, InputError
 from beable_sim.presets import PRESET_NAMES, preset_config
@@ -165,11 +169,72 @@ class TestConfigHash:
         assert (partial.dynamics.rtol, partial.dynamics.atol) == (1e-6, 1e-11)
         assert (partial.run.seed, partial.run.output_dt) == (4, 0.05)
 
+    @pytest.mark.parametrize("raw", [custom_config_dict(), *map(preset_config, PRESET_NAMES)],
+                             ids=["custom", *PRESET_NAMES])
+    def test_the_digest_layout(self, raw):
+        # written from the layout's description: the canonical JSON with each
+        # array of [re, im] pairs replaced by its shape, then every array's
+        # numbers as little-endian doubles, in the order H, beables, state
+        def shape(pairs):
+            return [len(pairs)] + (shape(pairs[0]) if isinstance(pairs[0][0], list) else [])
+
+        def numbers(pairs):
+            return [x for item in pairs
+                    for x in (numbers(item) if isinstance(item[0], list) else item)]
+
+        cfg = parse_config(raw)
+        skeleton = serialize_config(cfg)
+        arrays = [skeleton["hamiltonian"], *(b["matrix"] for b in skeleton["beables"]),
+                  skeleton["initial_state"]]
+        skeleton["hamiltonian"] = shape(skeleton["hamiltonian"])
+        for entry in skeleton["beables"]:
+            entry["matrix"] = shape(entry["matrix"])
+        skeleton["initial_state"] = shape(skeleton["initial_state"])
+        payload = json.dumps(skeleton, sort_keys=True, separators=(",", ":")).encode()
+        for pairs in arrays:
+            xs = numbers(pairs)
+            payload += struct.pack(f"<{len(xs)}d", *xs)
+        assert config_hash(cfg) == hashlib.sha256(payload).hexdigest()
+
+    def test_a_pinned_digest(self):
+        # a change of this value changes every recorded config_hash
+        assert config_hash(parse_config(custom_config_dict())) == \
+            "7202b4b908468ed127c79b849aabfa1f7f758ddd351d625263628a4b254dc958"
+
     def test_an_options_section_must_be_an_object(self):
         raw = custom_config_dict()
         raw["dynamics"] = [1e-9]
         with pytest.raises(InputError, match="dynamics must be an object"):
             parse_config(raw)
+
+
+def elementwise_pairs(a):
+    a = np.asarray(a, dtype=complex)
+    if a.ndim == 1:
+        return [[float(z.real), float(z.imag)] for z in a]
+    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+
+
+class TestPairConversions:
+    @pytest.fixture
+    def matrix(self):
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        m[0, 0] = complex(-0.0, 0.0)
+        m[1, 2] = complex(0.0, -0.0)
+        m[2, 1] = complex(5e-324, -2.2e-310)     # subnormals
+        m[4, 5] = complex(-1e-320, 1e-308)
+        return m
+
+    def test_matrices(self, matrix):
+        for a in (matrix, matrix.T, matrix[::2, 1::2], matrix.real):
+            got = matrix_to_pairs(a)
+            # repr tells -0.0 from 0.0 and a Python float from a numpy scalar
+            assert repr(got) == repr(elementwise_pairs(a))
+
+    def test_vectors(self, matrix):
+        for v in (matrix[1], matrix[:, 2], matrix[::-1, 0], matrix[2].real):
+            assert repr(vector_to_pairs(v)) == repr(elementwise_pairs(v))
 
 
 class TestOptionValues:
